@@ -3,7 +3,7 @@ evaluate, ir-baseline, dedup, retrieve.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error. Errors print a
 single machine-parseable line to stderr. A flat key=value config file can
-seed any flag; command-line flags win. C2Q_THREADS caps worker threads.
+seed any flag; command-line flags win.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import corpus, metrics, retrieval
 from .corpus import DataError, SplitSpec
@@ -39,11 +38,12 @@ def _fail(kind, message):
     print(f"error kind={kind} message={json.dumps(message)}", file=sys.stderr)
 
 
-def _threads():
-    try:
-        return max(1, int(os.environ.get("C2Q_THREADS", "1")))
-    except ValueError:
-        return 1
+def _count(text):
+    """argparse type for counts (beam width, lengths, top-k): an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _read_config(path):
@@ -71,7 +71,10 @@ def _apply_config(subparser, path):
     for action in subparser._actions:
         if action.dest in values and action.dest != "config":
             conv = action.type or str
-            defaults[action.dest] = conv(values[action.dest])
+            try:
+                defaults[action.dest] = conv(values[action.dest])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise DataError(f"config key {action.dest}: {exc}") from exc
     subparser.set_defaults(**defaults)
 
 
@@ -94,7 +97,7 @@ def _hyper_flags(p):
     p.add_argument("--vocab-min-freq", type=int, default=1)
     p.add_argument("--lambda-cov", type=float, default=1.0)
     p.add_argument("--ablation", choices=sorted(ABLATION_PRESETS), default="full")
-    p.add_argument("--max-len", type=int, default=16)
+    p.add_argument("--max-len", type=_count, default=16)
 
 
 def _hyper_from_args(args):
@@ -149,16 +152,16 @@ def build_parser():
     p.add_argument("--vocab", required=True)
     p.add_argument("--input", help="JSONL of snippets; default stdin")
     p.add_argument("--lang", choices=corpus.LANGS, default="python")
-    p.add_argument("--beam", type=int, default=10)
+    p.add_argument("--beam", type=_count, default=10)
     p.add_argument("--greedy", action="store_true")
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=_count, default=None)
 
     p = add_parser("evaluate", help="model + test pairs -> score report JSON")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--test-pairs", required=True)
-    p.add_argument("--beam", type=int, default=10)
+    p.add_argument("--beam", type=_count, default=10)
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--out", help="write the JSON report here as well")
 
@@ -186,7 +189,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--train-pairs", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--top", type=int, default=3)
+    p.add_argument("--top", type=_count, default=3)
     p.add_argument("--input", help="JSONL of snippets; default stdin")
     p.add_argument("--lang", choices=corpus.LANGS, default="python")
     p.add_argument("--checkpoint")
@@ -269,11 +272,16 @@ def _read_snippets(args):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"snippet line {lineno}: bad JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"snippet line {lineno}: not a JSON object")
             if "code_tokens" in obj:
-                snippets.append(list(obj["code_tokens"]))
+                snippets.append(corpus.token_list(obj["code_tokens"],
+                                                  f"snippet line {lineno}: code_tokens"))
             elif "code" in obj:
-                snippets.append(corpus.tokenize_code(obj["code"],
-                                                     obj.get("lang", args.lang)))
+                code, lang = obj["code"], obj.get("lang", args.lang)
+                if not isinstance(code, str) or not isinstance(lang, str):
+                    raise DataError(f"snippet line {lineno}: code and lang must be strings")
+                snippets.append(corpus.tokenize_code(code, lang))
             else:
                 raise DataError(f"snippet line {lineno}: need code_tokens or code")
     finally:
@@ -282,8 +290,7 @@ def _read_snippets(args):
     return snippets
 
 
-def _generate_one(tokens, params, vocab, hyper, args):
-    max_len = args.max_len or hyper.max_decode_len
+def _generate_one(tokens, params, vocab, hyper, args, max_len):
     if args.greedy:
         decoded, attns = greedy_decode_full(tokens, params, vocab, hyper, max_len)
     else:
@@ -299,14 +306,8 @@ def _cmd_generate(args):
     vocab = Vocabulary.load(args.vocab)
     params, hyper, _ = load_checkpoint(args.checkpoint,
                                        expected_vocab_hash=vocab.content_hash())
-    snippets = _read_snippets(args)
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            titles = list(pool.map(
-                lambda s: _generate_one(s, params, vocab, hyper, args), snippets))
-    else:
-        titles = [_generate_one(s, params, vocab, hyper, args) for s in snippets]
+    titles = [_generate_one(s, params, vocab, hyper, args, args.max_len)
+              for s in _read_snippets(args)]
     for title in titles:
         print(title)
     return EXIT_OK
@@ -319,8 +320,7 @@ def _cmd_evaluate(args):
     pairs = corpus.read_pairs(args.test_pairs)
     if not pairs:
         raise DataError("evaluate: empty test set")
-    args.max_len = None
-    candidates = [_generate_one(p.code_tokens, params, vocab, hyper, args).split()
+    candidates = [_generate_one(p.code_tokens, params, vocab, hyper, args, None).split()
                   for p in pairs]
     references = [p.title_tokens for p in pairs]
     report = metrics.score_report(candidates, references)

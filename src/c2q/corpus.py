@@ -189,8 +189,9 @@ def tokenize_code(text, lang, warnings=None):
             i = _scan_string(text, i, delim, syn, warnings)
             tokens.append("STRING")
             continue
-        if ch.isdigit():
-            m = _NUMBER.match(text, i)
+        # str.isdigit also accepts digits such as "²" that \d does not match
+        m = _NUMBER.match(text, i) if ch.isdigit() else None
+        if m:
             tokens.append("NUMBER")
             i = m.end()
             continue
@@ -322,6 +323,17 @@ def read_posts(path):
     return posts
 
 
+def token_list(value, field):
+    """``value`` checked to be a JSON list of non-empty strings."""
+    if isinstance(value, list) and all(value):
+        try:
+            "".join(value)  # rejects any non-string, at C speed
+            return value
+        except TypeError:
+            pass
+    raise DataError(f"{field} must be a list of non-empty strings")
+
+
 def write_pairs(pairs, path):
     with open(path, "w", encoding="utf-8") as fh:
         for p in pairs:
@@ -339,9 +351,10 @@ def read_pairs(path):
                 continue
             try:
                 obj = json.loads(line)
-                pairs.append(QCPair(id=int(obj["id"]), lang=obj["lang"],
-                                    code_tokens=list(obj["code_tokens"]),
-                                    title_tokens=list(obj["title_tokens"])))
+                pairs.append(QCPair(
+                    id=int(obj["id"]), lang=obj["lang"],
+                    code_tokens=token_list(obj["code_tokens"], "code_tokens"),
+                    title_tokens=token_list(obj["title_tokens"], "title_tokens")))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: bad pair record: {exc}") from exc
     return pairs

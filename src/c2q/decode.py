@@ -1,4 +1,5 @@
-"""Beam-search and greedy inference from code tokens to question titles."""
+"""Beam-search inference from code tokens to question titles; greedy
+decoding is beam search with k=1."""
 
 from __future__ import annotations
 
@@ -48,6 +49,18 @@ def _model_stepper(code_tokens, params, vocab, hyper):
     return stepper, enc.s0, cov0, ev
 
 
+def _top_k(logp, k):
+    """Indices of the k largest entries, ties to the lower index: the same
+    as ``np.argsort(-logp, kind="stable")[:k]`` without sorting the rest."""
+    neg = -logp
+    if k >= neg.size:
+        return np.argsort(neg, kind="stable")
+    kth = np.partition(neg, k - 1)[k - 1]
+    # ~(>) rather than <= keeps NaN entries, which sort last, when kth is NaN
+    head = np.flatnonzero(~(neg > kth))
+    return head[np.argsort(neg[head], kind="stable")[:k]]
+
+
 def _rank_key(hyp):
     # higher logprob first; ties by lower first-differing token id
     return (-hyp.logprob, hyp.token_ids)
@@ -63,15 +76,14 @@ def _beam(stepper, start_state, start_cov, k, max_len):
         for hyp in live:
             prev = hyp.token_ids[-1] if hyp.token_ids else START
             logp, state, cov, attn = stepper(prev, hyp.state, hyp.cov)
-            top = np.argsort(-logp, kind="stable")[:k]
-            for tid in top:
+            for tid in _top_k(logp, k):
                 tid = int(tid)
                 candidates.append(Hypothesis(
                     token_ids=hyp.token_ids + [tid],
                     logprob=hyp.logprob + float(logp[tid]),
                     state=state, cov=cov,
                     finished=(tid == END),
-                    attn=hyp.attn + ([attn.copy()] if attn is not None else [None])))
+                    attn=hyp.attn + [attn]))
         candidates.sort(key=_rank_key)
         live = []
         for hyp in candidates[:k]:
@@ -87,7 +99,10 @@ def beam_search(code_tokens, params, vocab, hyper, k=10, max_len=None):
         raise ValueError("beam_search: empty code token sequence")
     if k < 1:
         raise ValueError("beam size must be >= 1")
-    max_len = max_len or hyper.max_decode_len
+    if max_len is None:
+        max_len = hyper.max_decode_len
+    elif max_len < 1:
+        raise ValueError("max_len must be >= 1")
     stepper, s0, cov0, ev = _model_stepper(code_tokens, params, vocab, hyper)
     pool = _beam(stepper, s0, cov0, k, max_len)
     results = []
@@ -102,23 +117,9 @@ def beam_search(code_tokens, params, vocab, hyper, k=10, max_len=None):
 
 
 def greedy_decode_full(code_tokens, params, vocab, hyper, max_len=None):
-    """(tokens, attention records): argmax of p_star at every step."""
-    if not code_tokens:
-        raise ValueError("greedy_decode: empty code token sequence")
-    max_len = max_len or hyper.max_decode_len
-    stepper, state, cov, ev = _model_stepper(code_tokens, params, vocab, hyper)
-    ids, attns = [], []
-    prev = START
-    for _ in range(max_len):
-        logp, state, cov, attn = stepper(prev, state, cov)
-        tid = int(np.argmax(logp))
-        ids.append(tid)
-        attns.append(attn)
-        if tid == END:
-            break
-        prev = tid
-    tokens = decode_ids(ids, vocab, ev)
-    return tokens, attns[:len(tokens)] if END in ids else attns
+    """(tokens, attention records, one per token): beam search with k=1."""
+    best = beam_search(code_tokens, params, vocab, hyper, k=1, max_len=max_len)[0]
+    return best.tokens, best.attn[:len(best.tokens)]
 
 
 def greedy_decode(code_tokens, params, vocab, hyper, max_len=None):

@@ -51,6 +51,8 @@ class Hyperparams:
             raise ValueError("coverage requires attention")
         if self.lambda_cov < 0:
             raise ValueError("lambda_cov must be >= 0")
+        if self.max_decode_len < 1:
+            raise ValueError("max_decode_len must be >= 1")
 
     @property
     def attention(self):
@@ -86,21 +88,25 @@ class Parameters:
     def zero_grads(self):
         nm.zero_grads(self.tensors.values())
 
-    def all_finite(self):
-        return all(np.isfinite(t.data).all() for t in self.tensors.values())
-
 
 def init_parameters(hyper, vocab_size, rng):
     """Uniform(-0.1, 0.1) weights, zero biases."""
+    return Parameters(_layout(hyper, vocab_size,
+                              w=lambda *shape: Tensor(rng.uniform(-0.1, 0.1, shape)),
+                              zeros=lambda *shape: Tensor(np.zeros(shape))))
+
+
+def parameter_shapes(hyper, vocab_size):
+    """Name -> shape of every parameter, in init_parameters' order."""
+    return _layout(hyper, vocab_size, w=lambda *shape: shape,
+                   zeros=lambda *shape: shape)
+
+
+def _layout(hyper, vocab_size, w, zeros):
+    """Every parameter, built as ``w(*shape)`` (weights) or ``zeros(*shape)``
+    (biases) in a fixed order that fixes the random draws."""
     d, h = hyper.embed_dim, hyper.hidden
     a = h  # attention inner dimension
-
-    def w(*shape):
-        return Tensor(rng.uniform(-0.1, 0.1, shape))
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape))
-
     p = {"E": w(vocab_size, d)}
     for layer, in_dim in ((1, d), (2, 2 * h)):
         for dirn in ("fw", "bw"):
@@ -123,7 +129,7 @@ def init_parameters(hyper, vocab_size, rng):
     p["b_cg"] = zeros()
     p["W_b"] = w(h, 2 * h)
     p["b_b"] = zeros(h)
-    return Parameters(p)
+    return p
 
 
 @dataclass

@@ -16,10 +16,6 @@ import numpy as np
 _DTYPE = np.float32
 
 
-def current_dtype():
-    return _DTYPE
-
-
 @contextlib.contextmanager
 def use_dtype(dtype):
     """Temporarily switch the kernel dtype (float64 = doubled-precision mode)."""
@@ -345,11 +341,14 @@ def pad_zeros(v, total):
 # nonlinearities
 
 
+def _sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+
+
 def sigmoid(a):
     a = _wrap(a)
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(x.dtype)
+    out = _sigmoid(a.data)
 
     def bw(g):
         return (g * out * (1.0 - out),)
@@ -430,18 +429,48 @@ def lstm_cell(x, h_prev, c_prev, w, u, b):
 
     ``w`` is (4H, in), ``u`` is (4H, H), ``b`` is (4H,), gate order
     input / forget / output / candidate.
+
+    The cell is three graph nodes (gate activations, c, h) with hand-written
+    backward passes, where a cell composed of ``matmul``/``add``/``slice1d``/
+    ``sigmoid``/``tanh``/``mul`` would be seventeen. Each node repeats that
+    composition's arithmetic in the same order, and orders its inputs so
+    that ``backward`` reaches them in the same order too, so values and
+    gradients are bit for bit those of the composed cell.
     """
     hsize = u.data.shape[1]
     if w.data.shape[0] != 4 * hsize or b.data.shape[0] != 4 * hsize:
         raise ShapeError(
             f"lstm weight shapes inconsistent: W {w.data.shape}, U {u.data.shape}, b {b.data.shape}")
-    z = add(add(matmul(w, x), matmul(u, h_prev)), b)
-    i = sigmoid(slice1d(z, 0, hsize))
-    f = sigmoid(slice1d(z, hsize, 2 * hsize))
-    o = sigmoid(slice1d(z, 2 * hsize, 3 * hsize))
-    g = tanh(slice1d(z, 3 * hsize, 4 * hsize))
-    c = add(mul(f, c_prev), mul(i, g))
-    h = mul(o, tanh(c))
+    x, h_prev, c_prev = _wrap(x), _wrap(h_prev), _wrap(c_prev)
+    wd, xd, ud, hd = w.data, x.data, u.data, h_prev.data
+    if wd.shape[1] != xd.shape[0] or ud.shape[0] != 4 * hsize or hd.shape[0] != hsize:
+        raise ShapeError(f"lstm input shapes {xd.shape}, {hd.shape} do not fit "
+                         f"W {wd.shape}, U {ud.shape}")
+    sig = 3 * hsize  # input, forget and output gates are sigmoids
+    z = wd @ xd + ud @ hd + b.data
+    act = np.concatenate([_sigmoid(z[:sig]), np.tanh(z[sig:])]).astype(_DTYPE, copy=False)
+    i, f, o, g = act[:hsize], act[hsize:2 * hsize], act[2 * hsize:sig], act[sig:]
+
+    def gates_bw(d):
+        dz = np.concatenate([d[:sig] * act[:sig] * (1.0 - act[:sig]),
+                             d[sig:] * (1.0 - g * g)])
+        return np.outer(dz, xd), wd.T @ dz, np.outer(dz, hd), ud.T @ dz, dz
+
+    gates = Tensor(act, (w, x, u, h_prev, b), gates_bw)
+    cd = c_prev.data
+
+    def c_bw(d):
+        return d * f, np.concatenate([d * g, d * cd, np.zeros_like(d), d * i])
+
+    c = Tensor(f * cd + i * g, (c_prev, gates), c_bw)
+    tc = np.tanh(c.data)
+
+    def h_bw(d):
+        do = np.zeros_like(act)
+        do[2 * hsize:sig] = d * tc
+        return do, d * o * (1.0 - tc * tc)
+
+    h = Tensor(o * tc, (gates, c), h_bw)
     return h, c
 
 

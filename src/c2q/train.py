@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .model import Hyperparams, Parameters, init_parameters, sequence_loss
+from .model import (Hyperparams, Parameters, init_parameters, parameter_shapes,
+                    sequence_loss)
 from .numerics import Rng
 
 CHECKPOINT_MAGIC = b"C2Q1"
@@ -142,6 +143,10 @@ def train(train_examples, val_examples, hyper, config, vocab_hash="",
             epoch_losses.append(value)
 
         val_loss = mean_loss(val_examples, params, hyper) if val_examples else None
+        if val_loss is not None and not np.isfinite(val_loss):
+            # NaN < best_val is false: without this no checkpoint would be
+            # written and the caller would fall back to diverged parameters
+            raise TrainingDivergedError([ex.id for ex in val_examples])
         entry = TrainLogEntry(step=step, epoch=epoch,
                               train_loss=sum(epoch_losses) / len(epoch_losses),
                               val_loss=val_loss,
@@ -224,17 +229,57 @@ def load_checkpoint(path, expected_vocab_hash=None):
         header = json.loads(raw[12:12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: bad header: {exc}") from exc
-    vocab_hash = header["vocab_hash"]
+    hyper, vocab_hash, manifest = _check_header(header, path)
     if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
         raise CheckpointHashError(
             f"{path}: checkpoint built against a different vocabulary")
     data = raw[12 + header_len:]
-    tensors = {}
-    for entry in header["manifest"]:
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        end = entry["offset"] + 4 * count
+    tensors, offset = {}, 0
+    for entry in manifest:
+        if entry["offset"] != offset:
+            raise CheckpointFormatError(f"{path}: tensor {entry['name']} is not "
+                                        f"at offset {offset}")
+        end = offset + 4 * int(np.prod(entry["shape"]))
         if end > len(data):
             raise CheckpointTruncatedError(f"{path}: truncated tensor {entry['name']}")
-        arr = np.frombuffer(data[entry["offset"]:end], dtype="<f4").reshape(entry["shape"])
+        arr = np.frombuffer(data[offset:end], dtype="<f4").reshape(entry["shape"])
         tensors[entry["name"]] = nm.Tensor(arr.copy())
-    return Parameters(tensors), _hyper_from_json(header["hyperparams"]), vocab_hash
+        offset = end
+    if offset != len(data):
+        raise CheckpointFormatError(f"{path}: {len(data) - offset} trailing bytes")
+    return Parameters(tensors), hyper, vocab_hash
+
+
+def _check_header(header, path):
+    """(Hyperparams, vocab hash, manifest) of a header whose manifest lists
+    exactly the tensors init_parameters builds for its hyperparams."""
+    def bad(what):
+        return CheckpointFormatError(f"{path}: bad header: {what}")
+
+    if not isinstance(header, dict):
+        raise bad("not a JSON object")
+    try:
+        hyper = _hyper_from_json(header["hyperparams"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise bad(f"hyperparams: {exc!r}") from exc
+    if not all(type(getattr(hyper, key)) is int
+               for key in ("embed_dim", "hidden", "max_decode_len")):
+        raise bad("hyperparams: dimensions must be integers")
+    vocab_hash, manifest = header.get("vocab_hash"), header.get("manifest")
+    if not isinstance(vocab_hash, str):
+        raise bad("vocab_hash missing or not a string")
+
+    def well_formed(entry):
+        return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])
+                and type(entry.get("offset")) is int)
+
+    if not isinstance(manifest, list) or not all(map(well_formed, manifest)):
+        raise bad("manifest must list objects with a name, a shape and an offset")
+    entries = [(e["name"], tuple(e["shape"])) for e in manifest]
+    embedding = dict(entries).get("E")
+    vocab_size = embedding[0] if embedding else 0
+    if entries != list(parameter_shapes(hyper, vocab_size).items()):
+        raise bad("manifest names or shapes do not match the hyperparams")
+    return hyper, vocab_hash, manifest

@@ -202,3 +202,60 @@ def test_threads_env_same_output(workdir, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("C2Q_THREADS", "3")
     assert run(argv) == 0
     assert capsys.readouterr().out == serial
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error kind=")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--beam", "0"],
+    ["generate", "--greedy", "--max-len", "0"],
+    ["generate", "--max-len", "-1"],
+    ["generate", "--beam", "two"],
+    ["evaluate", "--test-pairs", "x.jsonl", "--beam", "0"],
+    ["retrieve", "--train-pairs", "x.jsonl", "--top", "0"],
+    ["train", "--train-pairs", "x.jsonl", "--checkpoint", "x.ckpt",
+     "--max-len", "0"],
+])
+def test_count_flags_below_one_are_usage_errors(workdir, capsys, argv):
+    common = ["--vocab", workdir["vocab"]]
+    if argv[0] in ("generate", "evaluate"):
+        common += ["--checkpoint", workdir["ckpt"]]
+    assert run(argv + common) == 1
+    err = capsys.readouterr().err
+    assert len(_error_lines(err)) == 1
+    assert err.startswith("error kind=usage")
+
+
+def test_count_below_one_in_config_is_data_error(workdir, capsys, tmp_path):
+    cfg = tmp_path / "c2q.cfg"
+    cfg.write_text("beam=0\n")
+    snippets = tmp_path / "s.jsonl"
+    snippets.write_text('{"code": "x = 1"}\n')
+    assert run(["generate", "--config", str(cfg), "--checkpoint", workdir["ckpt"],
+                "--vocab", workdir["vocab"], "--input", str(snippets)]) == 2
+    assert _error_lines(capsys.readouterr().err)[0].startswith("error kind=data")
+
+
+@pytest.mark.parametrize("line", [
+    '"my code here"',
+    '[1, 2]',
+    '{"code_tokens": "abc"}',
+    '{"code_tokens": ["a", ""]}',
+    '{"code_tokens": [1, 2]}',
+    '{"code": 5}',
+    '{"code": "x = 1", "lang": ["python"]}',
+    '{"code": "x = 1", "lang": "cobol"}',
+])
+def test_malformed_snippet_is_data_error(workdir, capsys, tmp_path, line):
+    snippets = tmp_path / "s.jsonl"
+    snippets.write_text('{"code": "x = 1"}\n' + line + "\n")
+    for argv in (["generate", "--checkpoint", workdir["ckpt"], "--greedy"],
+                 ["retrieve", "--train-pairs", workdir["train"]]):
+        assert run(argv + ["--vocab", workdir["vocab"],
+                           "--input", str(snippets)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(_error_lines(out.err)) == 1
+        assert out.err.startswith("error kind=data")

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from c2q import corpus
@@ -174,6 +176,27 @@ def test_pairs_jsonl_roundtrip(tmp_path):
     loaded = corpus.read_pairs(path)
     assert [(p.id, p.code_tokens, p.title_tokens) for p in loaded] == \
            [(p.id, p.code_tokens, p.title_tokens) for p in pairs]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("code_tokens", "abc"), ("code_tokens", ["a", ""]), ("code_tokens", [1, 2]),
+    ("title_tokens", "how"), ("title_tokens", None),
+])
+def test_read_pairs_requires_lists_of_nonempty_strings(tmp_path, field, value):
+    record = {"id": 1, "lang": "python", "code_tokens": ["x"],
+              "title_tokens": ["how"], field: value}
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(corpus.DataError, match=field):
+        corpus.read_pairs(path)
+
+
+@pytest.mark.parametrize("lang", corpus.LANGS)
+def test_tokenize_code_unicode_digits(lang):
+    # str.isdigit accepts superscripts and circled digits, \d only decimals
+    tokens = tokenize_code("x = 2\u00b2 + \u00b3 + \u0663 + \u2460 + 7", lang)
+    assert tokens == ["x", "=", "NUMBER", "\u00b2", "+", "\u00b3", "+", "NUMBER",
+                      "+", "\u2460", "+", "NUMBER"]
 
 
 def test_read_posts_rejects_bad_json(tmp_path):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from c2q.decode import (_beam, beam_search, greedy_decode, greedy_decode_full,
-                        resolve_unk)
+from c2q import decode
+from c2q.decode import (_beam, _top_k, beam_search, greedy_decode,
+                        greedy_decode_full, resolve_unk)
 from c2q.model import ABLATION_PRESETS, Hyperparams, init_parameters
 from c2q.numerics import Rng
-from c2q.vocab import END, START, UNK_TOKEN, Vocabulary, build_vocab
+from c2q.vocab import (END, START, UNK_TOKEN, Vocabulary, build_vocab,
+                       encode_source)
 
 
 def make_setup(seed, vocab_tokens=12, ablation="full"):
@@ -75,6 +77,48 @@ def test_greedy_equals_beam_k1_on_random_models():
         greedy = greedy_decode(tokens, params, vocab, hyper)
         beam = beam_search(tokens, params, vocab, hyper, k=1)
         assert beam[0].tokens == greedy
+
+
+def test_top_k_matches_stable_argsort():
+    for seed in range(200):
+        rng = Rng(seed)
+        n = rng.integers(1, 40)
+        # few distinct values, so most entries tie with another
+        logp = np.floor(rng.uniform(0, 4, n)).astype(np.float64)
+        if seed % 4 == 0:
+            logp[[rng.integers(0, n), rng.integers(0, n)]] = np.nan
+        for k in range(1, n + 3):
+            assert np.array_equal(_top_k(logp, k),
+                                  np.argsort(-logp, kind="stable")[:k]), (seed, k)
+
+
+def test_greedy_returns_one_attention_record_per_token(monkeypatch):
+    vocab, hyper, params = make_setup(0)
+    source = ["w4", "w5", "w6", "w7"]
+    seq = [5, 7, 4]
+    forced = forced_stepper(seq, len(vocab))
+
+    def model_stepper(code_tokens, params, vocab, hyper):
+        def stepper(prev, state, cov):
+            logp, next_state, cov, _ = forced(prev, state, cov)
+            return logp, next_state, cov, np.eye(len(code_tokens))[state]
+        return stepper, 0, None, encode_source(code_tokens, vocab)[2]
+
+    monkeypatch.setattr(decode, "_model_stepper", model_stepper)
+    # <end> after three tokens; cut off at three tokens; cut off at two
+    for max_len, n in ((8, 3), (3, 3), (2, 2)):
+        tokens, attns = greedy_decode_full(source, params, vocab, hyper, max_len)
+        assert tokens == [vocab.id_to_token[t] for t in seq[:n]]
+        assert [int(np.argmax(a)) for a in attns] == list(range(n))
+
+
+def test_beam_rejects_max_len_below_one():
+    vocab, hyper, params = make_setup(0)
+    for max_len in (0, -1):
+        with pytest.raises(ValueError):
+            beam_search(["w4"], params, vocab, hyper, k=2, max_len=max_len)
+        with pytest.raises(ValueError):
+            greedy_decode_full(["w4"], params, vocab, hyper, max_len)
 
 
 def test_beam_k2_prefers_globally_better_sequence():

@@ -17,6 +17,12 @@ def tiny_hyper(embed=6, hidden=5, ablation="full", lam=1.0):
                        ablation=ABLATION_PRESETS[ablation], max_decode_len=8)
 
 
+def test_hyperparams_reject_max_decode_len_below_one():
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            Hyperparams(max_decode_len=bad)
+
+
 def make_example(base_ids, ext_ids, oov, target, vocab_size, params):
     class FakeVocab:
         def __len__(self):
@@ -291,3 +297,46 @@ def test_overfit_single_example_loss_nonincreasing():
         for t in params.values():
             if t.grad is not None:
                 t.data -= (0.01 * t.grad).astype(t.data.dtype)
+
+
+def _composed_lstm_cell(x, h_prev, c_prev, w, u, b):
+    hsize = u.data.shape[1]
+    z = nm.add(nm.add(nm.matmul(w, x), nm.matmul(u, h_prev)), b)
+    i = nm.sigmoid(nm.slice1d(z, 0, hsize))
+    f = nm.sigmoid(nm.slice1d(z, hsize, 2 * hsize))
+    o = nm.sigmoid(nm.slice1d(z, 2 * hsize, 3 * hsize))
+    g = nm.tanh(nm.slice1d(z, 3 * hsize, 4 * hsize))
+    c = nm.add(nm.mul(f, c_prev), nm.mul(i, g))
+    return nm.mul(o, nm.tanh(c)), c
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ablation", ["basic", "atten", "atten+copy",
+                                      "atten+coverage", "full"])
+def test_lstm_cell_matches_composed_ops_bitwise(ablation, dtype, monkeypatch):
+    # the same batch loss and gradients, bit for bit, with every LSTM cell
+    # of the encoder and decoder built from elementwise ops instead; a small
+    # vocabulary makes tokens repeat, so embedding rows and the shared cell
+    # weights sum gradients from many places
+    def batch_grads(seed):
+        with nm.use_dtype(dtype):
+            hyper = tiny_hyper(embed=2 + seed % 4, hidden=2 + seed % 3,
+                               ablation=ablation)
+            params = init_parameters(hyper, 7, Rng(seed))
+            rng = Rng(100 + seed)
+            examples = [make_example(*_random_example(rng, 7, 2 + k, 2 + k, 2),
+                                     7, params) for k in range(3)]
+            loss = nm.add_n([sequence_loss(ex, params, hyper)[0]
+                             for ex in examples])
+            loss.backward()
+            return [loss.data] + [t.grad for t in params.values()
+                                  if t.grad is not None]
+
+    for seed in range(6):
+        fused = batch_grads(seed)
+        with monkeypatch.context() as m:
+            m.setattr(nm, "lstm_cell", _composed_lstm_cell)
+            composed = batch_grads(seed)
+        assert len(fused) == len(composed)
+        for a, b in zip(fused, composed):
+            assert a.dtype == b.dtype and np.array_equal(a, b)

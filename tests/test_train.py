@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -9,8 +10,8 @@ from c2q.model import (ABLATION_PRESETS, Hyperparams, Parameters,
 from c2q.numerics import Rng, Tensor
 from c2q.train import (CHECKPOINT_MAGIC, CheckpointFormatError,
                        CheckpointHashError, CheckpointTruncatedError,
-                       TrainConfig, clip_global_norm, load_checkpoint,
-                       mean_loss, save_checkpoint, train)
+                       TrainConfig, TrainingDivergedError, clip_global_norm,
+                       load_checkpoint, mean_loss, save_checkpoint, train)
 from c2q.vocab import build_vocab
 
 
@@ -158,6 +159,15 @@ def test_checkpoint_truncated(tmp_path):
             load_checkpoint(str(path))
 
 
+def test_checkpoint_trailing_bytes(tmp_path):
+    hyper, params = random_params(4)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, hyper, "h", str(path))
+    path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_garbled_header(tmp_path):
     header = b"{not json"
     path = tmp_path / "model.ckpt"
@@ -165,6 +175,87 @@ def test_checkpoint_garbled_header(tmp_path):
                      + struct.pack("<I", len(header)) + header)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(str(path))
+
+
+def _rewrite_header(path, mutate):
+    raw = path.read_bytes()
+    length = struct.unpack("<I", raw[8:12])[0]
+    header = json.dumps(mutate(json.loads(raw[12:12 + length]))).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header
+                     + raw[12 + length:])
+
+
+def _drop(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _set(key, value):
+    return lambda h: {**h, key: value}
+
+
+def _edit_manifest(edit):
+    def mutate(h):
+        edit(h["manifest"])
+        return h
+    return mutate
+
+
+BAD_HEADERS = {
+    "list": lambda h: [1, 2],
+    "string": lambda h: "header",
+    "no-manifest": _drop("manifest"),
+    "no-hyperparams": _drop("hyperparams"),
+    "no-vocab-hash": _drop("vocab_hash"),
+    "int-vocab-hash": _set("vocab_hash", 7),
+    "manifest-object": _set("manifest", {"E": [24, 8]}),
+    "hyperparams-list": _set("hyperparams", [8, 8]),
+    "hyperparams-partial": _set("hyperparams", {"embed_dim": 8}),
+    "float-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": 8.0}},
+    "other-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": 9}},
+    "missing-tensor": _edit_manifest(lambda m: m.pop()),
+    "extra-tensor": _edit_manifest(lambda m: m.append(dict(m[-1], name="extra"))),
+    "reordered": _edit_manifest(lambda m: m.reverse()),
+    "renamed": _edit_manifest(lambda m: m[1].update(name="renamed")),
+    "wrong-shape": _edit_manifest(lambda m: m[1].update(shape=[1, 2])),
+    "string-shape": _edit_manifest(lambda m: m[1].update(shape="32x8")),
+    "float-shape": _edit_manifest(lambda m: m[1].update(shape=[32.0, 8])),
+    "negative-shape": _edit_manifest(lambda m: m[0].update(shape=[-24, 8])),
+    "overlapping-offset": _edit_manifest(lambda m: m[2].update(offset=0)),
+    "no-offset": _edit_manifest(lambda m: m[2].pop("offset")),
+    "null-entry": _edit_manifest(lambda m: m.__setitem__(3, None)),
+}
+
+
+@pytest.mark.parametrize("mutate", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+def test_checkpoint_header_schema(tmp_path, mutate):
+    hyper, params = random_params(5)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, hyper, "h", str(path))
+    load_checkpoint(str(path), "h")
+    _rewrite_header(path, mutate)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(str(path), "h")
+
+
+def test_nan_validation_loss_raises_and_writes_no_checkpoint(tmp_path):
+    alphabet = [f"tok{i}" for i in range(10)]
+    vocab = build_vocab([alphabet * 2 + ["valonly"] * 2], min_freq=0)
+    train_ex = [encode_example(QCPair(id=i, lang="python",
+                                      code_tokens=alphabet[i:i + 4],
+                                      title_tokens=alphabet[i + 1:i + 4]), vocab)
+                for i in range(3)]
+    val_ex = [encode_example(QCPair(id=9, lang="python",
+                                    code_tokens=["tok1", "valonly"],
+                                    title_tokens=["tok2", "tok3"]), vocab)]
+    hyper = small_hyper()
+    params = init_parameters(hyper, len(vocab), Rng(0))
+    params["E"].data[vocab.id_of("valonly")] = np.nan
+    path = tmp_path / "best.ckpt"
+    config = TrainConfig(lr=0.1, batch_size=2, epochs=2, seed=1,
+                         checkpoint_path=str(path))
+    with pytest.raises(TrainingDivergedError):
+        train(train_ex, val_ex, hyper, config, params=params)
+    assert not path.exists()
 
 
 def test_train_writes_best_checkpoint(tmp_path):
