@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,7 +20,7 @@ from .decode import beam_search, greedy_decode_full, resolve_unk
 from .model import ABLATION_PRESETS, Hyperparams, encode_example
 from .numerics import Rng
 from .train import (CheckpointError, TrainConfig, TrainingDivergedError,
-                    load_checkpoint, save_checkpoint, train)
+                    load_checkpoint, train)
 from .vocab import Vocabulary, VocabFormatError, build_vocab
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
@@ -38,12 +39,25 @@ def _fail(kind, message):
     print(f"error kind={kind} message={json.dumps(message)}", file=sys.stderr)
 
 
-def _count(text):
-    """argparse type for counts (beam width, lengths, top-k): an int >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+def _at_least(low, value):
+    if not low <= value < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be finite and >= {low}, got {value}")
     return value
+
+
+def _count(text):
+    """argparse type for counts (beam width, dims, epochs, top-k): an int >= 1."""
+    return _at_least(1, int(text))
+
+
+def _size(text):
+    """argparse type for split sizes and frequency cut-offs: an int >= 0."""
+    return _at_least(0, int(text))
+
+
+def _amount(text):
+    """argparse type for rates, weights and thresholds: a finite float >= 0."""
+    return _at_least(0.0, float(text))
 
 
 def _read_config(path):
@@ -92,10 +106,10 @@ def _add_common(p):
 
 
 def _hyper_flags(p):
-    p.add_argument("--embed-dim", type=int, default=300)
-    p.add_argument("--hidden", type=int, default=256)
-    p.add_argument("--vocab-min-freq", type=int, default=1)
-    p.add_argument("--lambda-cov", type=float, default=1.0)
+    p.add_argument("--embed-dim", type=_count, default=300)
+    p.add_argument("--hidden", type=_count, default=256)
+    p.add_argument("--vocab-min-freq", type=_size, default=1)
+    p.add_argument("--lambda-cov", type=_amount, default=1.0)
     p.add_argument("--ablation", choices=sorted(ABLATION_PRESETS), default="full")
     p.add_argument("--max-len", type=_count, default=16)
 
@@ -123,15 +137,15 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--min-score", type=int, default=1)
-    p.add_argument("--val-count", type=int, default=0)
-    p.add_argument("--test-count", type=int, default=0)
+    p.add_argument("--val-count", type=_size, default=0)
+    p.add_argument("--test-count", type=_size, default=0)
 
     p = add_parser("build-vocab", help="vocabulary from training pairs")
     _add_common(p)
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-freq", type=int, default=1)
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--min-freq", type=_size, default=1)
+    p.add_argument("--max-size", type=_count, default=None)
 
     p = add_parser("train", help="train the model")
     _add_common(p)
@@ -140,10 +154,10 @@ def build_parser():
     p.add_argument("--val-pairs")
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--grad-clip", type=float, default=5.0,
+    p.add_argument("--lr", type=_amount, default=0.01)
+    p.add_argument("--batch-size", type=_count, default=32)
+    p.add_argument("--epochs", type=_count, default=30)
+    p.add_argument("--grad-clip", type=_amount, default=5.0,
                    help="global gradient norm cap; 0 disables")
 
     p = add_parser("generate", help="snippets (file or stdin) -> titles")
@@ -177,10 +191,10 @@ def build_parser():
     p.add_argument("--test-pairs", required=True)
     p.add_argument("--out-pairs", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--delta", type=float, default=0.8)
+    p.add_argument("--delta", type=_amount, default=0.8)
     p.add_argument("--checkpoint", help="use this model's embedding matrix")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--embed-dim", type=int, default=300,
+    p.add_argument("--embed-dim", type=_count, default=300,
                    help="dimension of the random embedding when no checkpoint")
     p.add_argument("--raw-embeddings", action="store_true",
                    help="skip L2 normalization (fidelity mode)")
@@ -193,7 +207,7 @@ def build_parser():
     p.add_argument("--input", help="JSONL of snippets; default stdin")
     p.add_argument("--lang", choices=corpus.LANGS, default="python")
     p.add_argument("--checkpoint")
-    p.add_argument("--embed-dim", type=int, default=300)
+    p.add_argument("--embed-dim", type=_count, default=300)
     return parser, subparsers
 
 
@@ -244,15 +258,13 @@ def _cmd_train(args):
                          epochs=args.epochs,
                          grad_clip_norm=args.grad_clip or None,
                          seed=args.seed, checkpoint_path=args.checkpoint)
-    params, log = train(train_examples, val_examples, hyper, config,
-                        vocab_hash=vocab.content_hash(),
-                        log_fn=lambda e: print(
-                            f"epoch={e.epoch} step={e.step} "
-                            f"train_loss={e.train_loss:.4f} "
-                            f"val_loss={'-' if e.val_loss is None else f'{e.val_loss:.4f}'} "
-                            f"sec={e.seconds:.1f}", file=sys.stderr))
-    if not os.path.exists(args.checkpoint):
-        save_checkpoint(params, hyper, vocab.content_hash(), args.checkpoint)
+    _, log = train(train_examples, val_examples, hyper, config,
+                   vocab_hash=vocab.content_hash(),
+                   log_fn=lambda e: print(
+                       f"epoch={e.epoch} step={e.step} "
+                       f"train_loss={e.train_loss:.4f} "
+                       f"val_loss={'-' if e.val_loss is None else f'{e.val_loss:.4f}'} "
+                       f"sec={e.seconds:.1f}", file=sys.stderr))
     print(json.dumps({"checkpoint": args.checkpoint, "steps": log[-1].step,
                       "final_train_loss": log[-1].train_loss,
                       "final_val_loss": log[-1].val_loss}))

@@ -51,8 +51,9 @@ class Hyperparams:
             raise ValueError("coverage requires attention")
         if self.lambda_cov < 0:
             raise ValueError("lambda_cov must be >= 0")
-        if self.max_decode_len < 1:
-            raise ValueError("max_decode_len must be >= 1")
+        for dim in ("embed_dim", "hidden", "max_decode_len"):
+            if getattr(self, dim) < 1:
+                raise ValueError(f"{dim} must be >= 1")
 
     @property
     def attention(self):

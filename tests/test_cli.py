@@ -217,9 +217,24 @@ def _error_lines(err):
     ["retrieve", "--train-pairs", "x.jsonl", "--top", "0"],
     ["train", "--train-pairs", "x.jsonl", "--checkpoint", "x.ckpt",
      "--max-len", "0"],
+    ["preprocess", "--input", "x.jsonl", "--out-dir", "x", "--val-count", "-5"],
+    ["preprocess", "--input", "x.jsonl", "--out-dir", "x", "--test-count", "-1"],
+    ["build-vocab", "--pairs", "x.jsonl", "--out", "x.txt", "--max-size", "-1"],
+    ["build-vocab", "--pairs", "x.jsonl", "--out", "x.txt", "--min-freq", "-1"],
+    *[["train", "--train-pairs", "x.jsonl", "--checkpoint", "x.ckpt", flag, value]
+      for flag, value in [("--epochs", "0"), ("--batch-size", "0"),
+                          ("--embed-dim", "0"), ("--hidden", "0"),
+                          ("--vocab-min-freq", "-1"), ("--grad-clip", "-1"),
+                          ("--grad-clip", "nan"), ("--lr", "inf"),
+                          ("--lambda-cov", "nan")]],
+    ["dedup", "--train-pairs", "x.jsonl", "--test-pairs", "x.jsonl",
+     "--out-pairs", "y.jsonl", "--report", "r.json", "--delta", "nan"],
+    ["dedup", "--train-pairs", "x.jsonl", "--test-pairs", "x.jsonl",
+     "--out-pairs", "y.jsonl", "--report", "r.json", "--embed-dim", "0"],
+    ["retrieve", "--train-pairs", "x.jsonl", "--embed-dim", "0"],
 ])
 def test_count_flags_below_one_are_usage_errors(workdir, capsys, argv):
-    common = ["--vocab", workdir["vocab"]]
+    common = [] if argv[0] in ("preprocess", "build-vocab") else ["--vocab", workdir["vocab"]]
     if argv[0] in ("generate", "evaluate"):
         common += ["--checkpoint", workdir["ckpt"]]
     assert run(argv + common) == 1

@@ -18,9 +18,10 @@ def tiny_hyper(embed=6, hidden=5, ablation="full", lam=1.0):
 
 
 def test_hyperparams_reject_max_decode_len_below_one():
-    for bad in (0, -1):
-        with pytest.raises(ValueError):
-            Hyperparams(max_decode_len=bad)
+    for dim in ("max_decode_len", "embed_dim", "hidden"):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=dim):
+                Hyperparams(**{dim: bad})
 
 
 def make_example(base_ids, ext_ids, oov, target, vocab_size, params):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2q.corpus import QCPair
 from c2q.numerics import Rng
@@ -173,3 +175,81 @@ def test_topk_matches_hand_ranking():
     assert [(r[2]) for r in results] == [pid for _, pid in expected]
     for r, (sim, _) in zip(results, expected):
         assert r[1] == pytest.approx(sim)
+
+
+# Property tests. "zzz" is indexed by TF-IDF but is not in small_vocab().
+TOKENS = st.sampled_from(["a", "b", "c", "d", "e", "f", "zzz"])
+
+
+@st.composite
+def corpora(draw):
+    """(id, code, title) documents listed in descending id order, some of
+    them repeated under a lower id, so ties must go to the lower id."""
+    codes = draw(st.lists(st.lists(TOKENS, max_size=8), min_size=1, max_size=12))
+    codes += [codes[i] for i in draw(st.lists(st.integers(0, len(codes) - 1),
+                                              max_size=4))]
+    return [(len(codes) - i, code, [f"t{i}"]) for i, code in enumerate(codes)]
+
+
+def _scan(index, docs, tokens):
+    """(doc_id, score) by scoring every document vector in turn: the oracle."""
+    qvec = index._vectorize(tokens)
+    best_id, best_score = None, -1.0
+    for doc_id, code, _ in docs:
+        vec = index._vectorize(code)
+        score = sum(w * vec.get(t, 0.0) for t, w in qvec.items())
+        if score > best_score or (score == best_score and
+                                  (best_id is None or doc_id < best_id)):
+            best_id, best_score = doc_id, score
+    return best_id, best_score
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=corpora(), query=st.lists(TOKENS, max_size=8))
+def test_tfidf_query_matches_per_document_scan(docs, query):
+    index = TfidfIndex(docs)
+    result = index.query(query)
+    assert result.matched == bool(index._vectorize(query))
+    if result.matched:
+        assert (result.doc_id, result.score) == _scan(index, docs, query)
+        assert result.title == dict((d[0], d[2]) for d in docs)[result.doc_id]
+
+
+# Snippets are sorted sets of tokens, so two snippets with equal
+# similarities have bit-identical embeddings. Equal multisets summed in
+# different orders can differ in the last bit, and the two distance forms
+# compared here may then order them differently.
+SNIPPETS = st.sets(TOKENS, min_size=1, max_size=5).map(sorted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes=st.lists(SNIPPETS, min_size=1, max_size=10), dups=st.integers(0, 3),
+       query=SNIPPETS, k=st.integers(1, 14), seed=st.integers(0, 1000),
+       normalize=st.booleans())
+def test_topk_ids_match_sorting_by_code_similarity(codes, dups, query, k, seed,
+                                                   normalize):
+    vocab = small_vocab()
+    E = Rng(seed).uniform(-1, 1, (len(vocab), 8))
+    codes = codes + codes[:dups]
+    corpus_pairs = [pair(len(codes) - i, code) for i, code in enumerate(codes)]
+    qe = embed_code(query, E, vocab, normalize)
+    if qe.zero:
+        with pytest.raises(ValueError):
+            topk_similar(query, corpus_pairs, E, vocab, k, normalize)
+        return
+    expected = sorted((-code_similarity(qe, emb), p.id) for p in corpus_pairs
+                      if not (emb := embed_code(p.code_tokens, E, vocab, normalize)).zero)
+    results = topk_similar(query, corpus_pairs, E, vocab, k, normalize)
+    assert [doc_id for _, _, doc_id in results] == [pid for _, pid in expected[:k]]
+    for (_, sim, _), (neg_sim, _) in zip(results, expected):
+        assert abs(sim + neg_sim) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(codes=st.lists(st.lists(st.sampled_from(["zzz", "qqq"]), max_size=4), max_size=6),
+       k=st.integers(1, 5))
+def test_topk_corpus_without_embeddings_is_empty(codes, k):
+    vocab = small_vocab()
+    E = Rng(9).uniform(-1, 1, (len(vocab), 8))
+    corpus_pairs = [pair(i, code) for i, code in enumerate(codes)]
+    assert topk_similar(["a"], corpus_pairs, E, vocab, k) == []

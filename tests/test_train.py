@@ -212,6 +212,7 @@ BAD_HEADERS = {
     "hyperparams-partial": _set("hyperparams", {"embed_dim": 8}),
     "float-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": 8.0}},
     "other-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": 9}},
+    "zero-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": 0}},
     "missing-tensor": _edit_manifest(lambda m: m.pop()),
     "extra-tensor": _edit_manifest(lambda m: m.append(dict(m[-1], name="extra"))),
     "reordered": _edit_manifest(lambda m: m.reverse()),
