@@ -387,8 +387,10 @@ def _cmd_retrieve(args):
     train_pairs = corpus.read_pairs(args.train_pairs)
     vocab = Vocabulary.load(args.vocab)
     E = _embedding_matrix(args, vocab)
-    for tokens in _read_snippets(args):
-        for title, sim, doc_id in retrieval.topk_similar(tokens, train_pairs, E,
+    snippets = _read_snippets(args)
+    embedded = retrieval.embed_corpus(train_pairs, E, vocab)
+    for tokens in snippets:
+        for title, sim, doc_id in retrieval.topk_similar(tokens, embedded, E,
                                                          vocab, args.top):
             print(f"{sim:.4f}\t{doc_id}\t{' '.join(title)}")
     return EXIT_OK
@@ -418,8 +420,7 @@ def run(argv):
         _fail("usage", str(exc))
         return EXIT_USAGE
     except (DataError, VocabFormatError, CheckpointError,
-            TrainingDivergedError, FileNotFoundError, IndexError,
-            ValueError) as exc:
+            TrainingDivergedError, OSError, IndexError, ValueError) as exc:
         _fail("data", str(exc))
         return EXIT_DATA
 

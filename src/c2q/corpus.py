@@ -315,6 +315,8 @@ def read_posts(path):
                 continue
             try:
                 obj = json.loads(line)
+                if not all(isinstance(obj[k], str) for k in ("lang", "title", "body")):
+                    raise TypeError("lang, title and body must be strings")
                 posts.append(RawPost(id=int(obj["id"]), lang=obj["lang"],
                                      title=obj["title"], body=obj["body"],
                                      score=int(obj["score"])))

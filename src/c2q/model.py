@@ -166,15 +166,18 @@ class EncodedExample:
     title_tokens: list = field(default_factory=list)
 
 
-def _run_direction(inputs, params, prefix, hidden):
-    w, u, b = params[f"{prefix}_W"], params[f"{prefix}_U"], params[f"{prefix}_b"]
-    h = Tensor(np.zeros(hidden))
-    c = Tensor(np.zeros(hidden))
-    states = []
-    for x in inputs:
-        h, c = nm.lstm_cell(x, h, c, w, u, b)
-        states.append((h, c))
-    return states
+def _bilstm(x, params, layer, zeros):
+    """(T, 2h) rows [h_fw; h_bw], and the two directions' (T, 2, h) outputs
+    in source order. The backward direction runs on the reversed rows."""
+    def run(dirn, seq):
+        return nm.lstm_seq(seq, zeros, zeros, *(params[f"enc_l{layer}_{dirn}_{n}"]
+                                                for n in "WUb"))
+
+    rev = slice(None, None, -1)
+    fw = run("fw", x)
+    bw = nm.index(run("bw", nm.index(x, rev)), rev)
+    hs = (slice(None), 0)
+    return nm.concat([nm.index(fw, hs), nm.index(bw, hs)], axis=1), fw, bw
 
 
 def encode(base_ids, params, hyper):
@@ -185,22 +188,12 @@ def encode(base_ids, params, hyper):
     for idx in base_ids:
         if not 0 <= idx < vocab_size:
             raise IndexError(f"source id {idx} out of vocab range [0, {vocab_size})")
-    h = hyper.hidden
-    emb = nm.gather_rows(params["E"], base_ids)
-    xs = [nm.take_row(emb, t) for t in range(len(base_ids))]
-
-    l1_fw = _run_direction(xs, params, "enc_l1_fw", h)
-    l1_bw = _run_direction(list(reversed(xs)), params, "enc_l1_bw", h)
-    l1_bw.reverse()
-    l1_out = [nm.concat([f[0], b[0]]) for f, b in zip(l1_fw, l1_bw)]
-
-    l2_fw = _run_direction(l1_out, params, "enc_l2_fw", h)
-    l2_bw = _run_direction(list(reversed(l1_out)), params, "enc_l2_bw", h)
-    l2_bw.reverse()
-
-    H = nm.stack_rows([nm.concat([f[0], b[0]]) for f, b in zip(l2_fw, l2_bw)])
-    summary_h = nm.concat([l2_fw[-1][0], l2_bw[0][0]])
-    summary_c = nm.concat([l2_fw[-1][1], l2_bw[0][1]])
+    zeros = Tensor(np.zeros(hyper.hidden))
+    l1_out, _, _ = _bilstm(nm.gather_rows(params["E"], base_ids), params, 1, zeros)
+    H, fw, bw = _bilstm(l1_out, params, 2, zeros)
+    # [fw; bw] final states: fw after the last row, bw after the first
+    summary_h, summary_c = (nm.concat([nm.index(fw, (-1, k)), nm.index(bw, (0, k))])
+                            for k in (0, 1))
     s0_h = nm.tanh(nm.linear(summary_h, params["W_b"], params["b_b"]))
     s0_c = nm.tanh(nm.linear(summary_c, params["W_b"], params["b_b"]))
     return EncoderOutput(H=H, s0=(s0_h, s0_c), summary=summary_h)
@@ -225,9 +218,10 @@ def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask=Non
     vocab_size = params["E"].data.shape[0]
     if not 0 <= y_prev_id < vocab_size:
         raise IndexError(f"previous-output id {y_prev_id} outside base vocab")
-    x = nm.take_row(params["E"], y_prev_id)
-    h, c_state = nm.lstm_cell(x, state[0], state[1], params["dec_W"],
-                              params["dec_U"], params["dec_b"])
+    x = nm.index(params["E"], slice(y_prev_id, y_prev_id + 1))
+    out = nm.lstm_seq(x, state[0], state[1], params["dec_W"], params["dec_U"],
+                      params["dec_b"])
+    h, c_state = nm.index(out, (0, 0)), nm.index(out, (0, 1))
 
     if hyper.attention:
         a, ctx = attention_step(h, enc.H, cov if hyper.coverage else None, params, mask)
@@ -241,7 +235,7 @@ def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask=Non
     if hyper.copy:
         p_cg = nm.sigmoid(nm.add_n([nm.dot(params["w_c"], ctx),
                                     nm.dot(params["w_s"], h),
-                                    nm.dot(params["w_x"], x),
+                                    nm.dot(params["w_x"], nm.index(x, 0)),
                                     params["b_cg"]]))
         copy_dist = nm.scatter_add(a, ext_ids, ext_size)
         gen_dist = nm.pad_zeros(vocab_dist, ext_size)
@@ -285,7 +279,7 @@ def sequence_loss(example, params, hyper):
     for y_prev, y in zip(feed, target):
         step = decode_step(y_prev, state, enc, cov, example.ext_ids,
                            example.ev, params, hyper)
-        logp = nm.log(nm.clamp_min(nm.take_scalar(step.p_star, y), LOGPROB_FLOOR))
+        logp = nm.log(nm.clamp_min(nm.index(step.p_star, y), LOGPROB_FLOOR))
         nll_terms.append(nm.neg(logp))
         logps.append(float(logp.data))
         if hyper.coverage:

@@ -1,8 +1,8 @@
 """Minimal dense-tensor kernel with reverse-mode automatic differentiation.
 
-Everything the encoder/decoder needs: linear maps, an LSTM cell, masked
-softmax, sigmoid/tanh, concatenation, gather/scatter, and a central
-finite-difference gradient checker. Values are float32 by default; wrap
+Everything the encoder/decoder needs: linear maps, a whole-sequence LSTM,
+masked softmax, sigmoid/tanh, concatenation, indexing, gather/scatter, and a
+central finite-difference gradient checker. Values are float32 by default; wrap
 gradient checks in ``use_dtype(np.float64)`` for the doubled-precision
 test mode with tighter tolerances.
 """
@@ -243,50 +243,23 @@ def outer(a, b):
     return Tensor(np.outer(ad, bd), (a, b), bw)
 
 
-def concat(tensors):
+def concat(tensors, axis=0):
     ts = [_wrap(t) for t in tensors]
-    sizes = [t.data.shape[0] for t in ts]
-
-    def bw(g):
-        out, off = [], 0
-        for s in sizes:
-            out.append(g[off:off + s])
-            off += s
-        return tuple(out)
-
-    return Tensor(np.concatenate([t.data for t in ts]), tuple(ts), bw)
+    cuts = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
+    return Tensor(np.concatenate([t.data for t in ts], axis=axis), tuple(ts),
+                  lambda g: tuple(np.split(g, cuts, axis=axis)))
 
 
-def slice1d(a, start, stop):
+def index(a, key):
+    """``a[key]`` for a basic numpy index (ints, slices, None)."""
     a = _wrap(a)
 
     def bw(g):
         full = np.zeros_like(a.data)
-        full[start:stop] = g
+        full[key] = g
         return (full,)
 
-    return Tensor(a.data[start:stop], (a,), bw)
-
-
-def stack_rows(tensors):
-    ts = [_wrap(t) for t in tensors]
-
-    def bw(g):
-        return tuple(g[i] for i in range(len(ts)))
-
-    return Tensor(np.stack([t.data for t in ts]), tuple(ts), bw)
-
-
-def take_row(m, i):
-    m = _wrap(m)
-    i = int(i)
-
-    def bw(g):
-        full = np.zeros_like(m.data)
-        full[i] = g
-        return (full,)
-
-    return Tensor(m.data[i], (m,), bw)
+    return Tensor(a.data[key], (a,), bw)
 
 
 def gather_rows(m, indices):
@@ -299,20 +272,6 @@ def gather_rows(m, indices):
         return (full,)
 
     return Tensor(m.data[idx], (m,), bw)
-
-
-def take_scalar(v, i):
-    v = _wrap(v)
-    i = int(i)
-    if not 0 <= i < v.data.shape[0]:
-        raise IndexError(f"index {i} out of range for vector of size {v.data.shape[0]}")
-
-    def bw(g):
-        full = np.zeros_like(v.data)
-        full[i] = g
-        return (full,)
-
-    return Tensor(v.data[i], (v,), bw)
 
 
 def scatter_add(values, indices, size):
@@ -424,54 +383,59 @@ def softmax(v, mask=None):
     return Tensor(p, (v,), bw)
 
 
-def lstm_cell(x, h_prev, c_prev, w, u, b):
-    """One step of the standard gated LSTM.
+def lstm_seq(x, h0, c0, w, u, b):
+    """The standard gated LSTM run over the T rows of ``x`` (T, in) from
+    state (``h0``, ``c0``), as one graph node: a (T, 2, H) tensor holding
+    [h, c] after each row.
 
     ``w`` is (4H, in), ``u`` is (4H, H), ``b`` is (4H,), gate order
-    input / forget / output / candidate.
-
-    The cell is three graph nodes (gate activations, c, h) with hand-written
-    backward passes, where a cell composed of ``matmul``/``add``/``slice1d``/
-    ``sigmoid``/``tanh``/``mul`` would be seventeen. Each node repeats that
-    composition's arithmetic in the same order, and orders its inputs so
-    that ``backward`` reaches them in the same order too, so values and
-    gradients are bit for bit those of the composed cell.
+    input / forget / output / candidate. The forward projects all rows of
+    ``x`` in one product; the hand-written backward runs the recurrence in
+    reverse and then gets dx, dW, dU and db in one product or sum each.
     """
-    hsize = u.data.shape[1]
-    if w.data.shape[0] != 4 * hsize or b.data.shape[0] != 4 * hsize:
+    x, h0, c0 = _wrap(x), _wrap(h0), _wrap(c0)
+    xd, wd, ud = x.data, w.data, u.data
+    hsize = ud.shape[1]
+    if wd.shape[0] != 4 * hsize or ud.shape[0] != 4 * hsize or b.data.shape != (4 * hsize,):
         raise ShapeError(
-            f"lstm weight shapes inconsistent: W {w.data.shape}, U {u.data.shape}, b {b.data.shape}")
-    x, h_prev, c_prev = _wrap(x), _wrap(h_prev), _wrap(c_prev)
-    wd, xd, ud, hd = w.data, x.data, u.data, h_prev.data
-    if wd.shape[1] != xd.shape[0] or ud.shape[0] != 4 * hsize or hd.shape[0] != hsize:
-        raise ShapeError(f"lstm input shapes {xd.shape}, {hd.shape} do not fit "
+            f"lstm weight shapes inconsistent: W {wd.shape}, U {ud.shape}, b {b.data.shape}")
+    if xd.ndim != 2 or xd.shape[1] != wd.shape[1] or h0.shape != (hsize,) or c0.shape != (hsize,):
+        raise ShapeError(f"lstm inputs x {xd.shape}, h0 {h0.shape}, c0 {c0.shape} do not fit "
                          f"W {wd.shape}, U {ud.shape}")
-    sig = 3 * hsize  # input, forget and output gates are sigmoids
-    z = wd @ xd + ud @ hd + b.data
-    act = np.concatenate([_sigmoid(z[:sig]), np.tanh(z[sig:])]).astype(_DTYPE, copy=False)
-    i, f, o, g = act[:hsize], act[hsize:2 * hsize], act[2 * hsize:sig], act[sig:]
+    steps, sig = xd.shape[0], 3 * hsize  # input, forget and output gates are sigmoids
+    act = xd @ wd.T + b.data  # gate pre-activations, then activations in place
+    out = np.empty((steps, 2, hsize), dtype=act.dtype)
+    tc = np.empty((steps, hsize), dtype=act.dtype)  # tanh(c)
+    h, c = h0.data, c0.data
+    for t in range(steps):
+        a = act[t]
+        a += ud @ h
+        a[:sig] = _sigmoid(a[:sig])
+        np.tanh(a[sig:], out=a[sig:])
+        c = out[t, 1] = a[hsize:2 * hsize] * c + a[:hsize] * a[sig:]
+        np.tanh(c, out=tc[t])
+        h = out[t, 0] = a[2 * hsize:sig] * tc[t]
 
-    def gates_bw(d):
-        dz = np.concatenate([d[:sig] * act[:sig] * (1.0 - act[:sig]),
-                             d[sig:] * (1.0 - g * g)])
-        return np.outer(dz, xd), wd.T @ dz, np.outer(dz, hd), ud.T @ dz, dz
+    def bw(grad):
+        i, f, o, g = (act[:, k * hsize:(k + 1) * hsize] for k in range(4))
+        c_in = np.concatenate([c0.data[None], out[:-1, 1]])
+        # dz[t] = [dc, dc, dh, dc] * coef[t], by gate
+        coef = np.concatenate([g * i * (1.0 - i), c_in * f * (1.0 - f),
+                               tc * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+        dc_dh = o * (1.0 - tc * tc)
+        dz = np.empty_like(act)
+        dh, dc = np.zeros(hsize, act.dtype), np.zeros(hsize, act.dtype)
+        for t in reversed(range(steps)):
+            dh = grad[t, 0] + dh
+            dc = grad[t, 1] + dc + dh * dc_dh[t]
+            dzt = dz[t].reshape(4, hsize)
+            np.multiply(coef[t].reshape(4, hsize), dc, out=dzt)
+            np.multiply(coef[t, 2 * hsize:sig], dh, out=dzt[2])
+            dh, dc = dz[t] @ ud, dc * f[t]
+        h_in = np.concatenate([h0.data[None], out[:-1, 0]])
+        return dz @ wd, dh, dc, dz.T @ xd, dz.T @ h_in, dz.sum(axis=0)
 
-    gates = Tensor(act, (w, x, u, h_prev, b), gates_bw)
-    cd = c_prev.data
-
-    def c_bw(d):
-        return d * f, np.concatenate([d * g, d * cd, np.zeros_like(d), d * i])
-
-    c = Tensor(f * cd + i * g, (c_prev, gates), c_bw)
-    tc = np.tanh(c.data)
-
-    def h_bw(d):
-        do = np.zeros_like(act)
-        do[2 * hsize:sig] = d * tc
-        return do, d * o * (1.0 - tc * tc)
-
-    h = Tensor(o * tc, (gates, c), h_bw)
-    return h, c
+    return Tensor(out, (x, h0, c0, w, u, b), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,22 @@ def _bucket(sim):
     return BUCKET_LABELS[int(s / 0.2)]
 
 
-def _embed_pairs(pairs, E, vocab, normalize):
-    """(pairs with an embedding, a function giving the code_similarity of a
-    query embedding to each of them), the embeddings kept as matrix rows."""
+@dataclass
+class EmbeddedCorpus:
+    """The pairs of a corpus that have an embedding, their embeddings kept as
+    the rows of one matrix, for many queries."""
+    pairs: list
+    matrix: np.ndarray
+
+    def similarities(self, query):
+        """code_similarity of a query embedding to each pair, by rows."""
+        d = self.matrix - query.vector
+        np.multiply(d, d, out=d)
+        return 1.0 - np.sqrt(d.sum(axis=1))  # the row norms, as np.linalg.norm
+
+
+def embed_corpus(pairs, E, vocab, normalize=True):
+    """EmbeddedCorpus of ``pairs``, each embedded once by embed_code."""
     M = np.empty((len(pairs), np.shape(E)[1]))
     kept = []
     for pair in pairs:
@@ -126,16 +139,15 @@ def _embed_pairs(pairs, E, vocab, normalize):
         if not emb.zero:
             M[len(kept)] = emb.vector
             kept.append(pair)
-    M = M[:len(kept)]
-    return kept, lambda query: 1.0 - np.linalg.norm(M - query.vector, axis=1)
+    return EmbeddedCorpus(kept, M[:len(kept)])
 
 
 def dedup_testset(train_pairs, test_pairs, E, vocab, delta=0.8, normalize=True):
     """Remove test snippets whose max similarity to any training snippet is
     >= delta. Returns (clean_test, removed, report)."""
     buckets = {label: 0 for label in BUCKET_LABELS}
-    embedded, similarities = _embed_pairs(train_pairs, E, vocab, normalize)
-    if not embedded:  # nothing to compare with: every test pair stays
+    corpus = embed_corpus(train_pairs, E, vocab, normalize)
+    if not corpus.pairs:  # nothing to compare with: every test pair stays
         return list(test_pairs), [], DedupReport(buckets, 0, len(test_pairs), delta)
     clean, removed, unembeddable = [], [], 0
     for pair in test_pairs:
@@ -144,7 +156,7 @@ def dedup_testset(train_pairs, test_pairs, E, vocab, delta=0.8, normalize=True):
             unembeddable += 1
             clean.append(pair)
             continue
-        max_sim = float(similarities(emb).max())
+        max_sim = float(corpus.similarities(emb).max())
         buckets[_bucket(max_sim)] += 1
         (removed if max_sim >= delta else clean).append(pair)
     return clean, removed, DedupReport(buckets=buckets, removed=len(removed), kept=len(clean),
@@ -153,13 +165,16 @@ def dedup_testset(train_pairs, test_pairs, E, vocab, delta=0.8, normalize=True):
 
 def topk_similar(query_code_tokens, corpus_pairs, E, vocab, k, normalize=True):
     """k (title, similarity, id) triples, descending similarity, ties by
-    lowest id."""
+    lowest id. ``corpus_pairs`` may also be an EmbeddedCorpus made by
+    ``embed_corpus`` with the same E, vocab and normalize."""
     if k < 1:
         raise ValueError("k must be >= 1")
     query = embed_code(query_code_tokens, E, vocab, normalize)
     if query.zero:
         raise ValueError("topk_similar: query has no in-vocabulary tokens")
-    embedded, similarities = _embed_pairs(corpus_pairs, E, vocab, normalize)
-    sims = similarities(query)
-    order = np.lexsort(([p.id for p in embedded], -sims))[:k]
-    return [(embedded[i].title_tokens, float(sims[i]), embedded[i].id) for i in order]
+    corpus = (corpus_pairs if isinstance(corpus_pairs, EmbeddedCorpus)
+              else embed_corpus(corpus_pairs, E, vocab, normalize))
+    sims = corpus.similarities(query)
+    order = np.lexsort(([p.id for p in corpus.pairs], -sims))[:k]
+    return [(corpus.pairs[i].title_tokens, float(sims[i]), corpus.pairs[i].id)
+            for i in order]

@@ -3,8 +3,10 @@ import os
 
 import pytest
 
-from c2q import corpus
+from c2q import corpus, retrieval
 from c2q.cli import run
+from c2q.train import load_checkpoint
+from c2q.vocab import Vocabulary
 
 TINY = ["--embed-dim", "8", "--hidden", "8", "--max-len", "8"]
 
@@ -124,6 +126,31 @@ def test_retrieve_format(workdir, capsys, tmp_path):
     assert int(doc_id) == first.id
 
 
+def test_retrieve_embeds_the_corpus_once(workdir, capsys, tmp_path, monkeypatch):
+    pairs = corpus.read_pairs(workdir["train"])
+    queries = [p.code_tokens for p in pairs[:3]]
+    snippets = tmp_path / "snippets.jsonl"
+    snippets.write_text("".join(json.dumps({"code_tokens": q}) + "\n" for q in queries))
+    calls = []
+    embed_code = retrieval.embed_code
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return embed_code(*args, **kwargs)
+
+    monkeypatch.setattr(retrieval, "embed_code", counting)
+    assert run(["retrieve", "--train-pairs", workdir["train"],
+                "--vocab", workdir["vocab"], "--checkpoint", workdir["ckpt"],
+                "--input", str(snippets), "--top", "4"]) == 0
+    assert len(calls) == len(pairs) + len(queries)
+    # the same lines as a fresh topk_similar over the pairs for each snippet
+    vocab = Vocabulary.load(workdir["vocab"])
+    E = load_checkpoint(workdir["ckpt"])[0]["E"].data
+    assert capsys.readouterr().out == "".join(
+        f"{sim:.4f}\t{doc_id}\t{' '.join(title)}\n" for q in queries
+        for title, sim, doc_id in retrieval.topk_similar(q, pairs, E, vocab, 4))
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert run(["build-vocab", "--out", "x"]) == 1
     assert "error kind=usage" in capsys.readouterr().err
@@ -137,6 +164,23 @@ def test_missing_input_file_is_data_error(capsys):
     assert run(["preprocess", "--input", "/no/such/file.jsonl",
                 "--out-dir", "/tmp/never"]) == 2
     assert "error kind=data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["preprocess", "build-vocab", "train", "dedup"])
+def test_unreadable_path_is_data_error(workdir, capsys, tmp_path, command):
+    # a directory where a file belongs: IsADirectoryError is an OSError
+    folder = str(tmp_path)
+    argv = {"preprocess": ["--input", folder, "--out-dir", str(tmp_path / "out")],
+            "build-vocab": ["--pairs", folder, "--out", str(tmp_path / "v.txt")],
+            "train": ["--train-pairs", workdir["train"], "--vocab", folder,
+                      "--checkpoint", str(tmp_path / "m.ckpt")],
+            "dedup": ["--train-pairs", workdir["train"], "--test-pairs", workdir["test"],
+                      "--vocab", workdir["vocab"], "--out-pairs", folder,
+                      "--report", str(tmp_path / "r.json")]}[command]
+    assert run([command] + argv) == 2
+    err = capsys.readouterr().err
+    assert len(_error_lines(err)) == 1
+    assert err.startswith("error kind=data")
 
 
 def test_bad_checkpoint_is_data_error(workdir, capsys, tmp_path):

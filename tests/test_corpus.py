@@ -204,3 +204,15 @@ def test_read_posts_rejects_bad_json(tmp_path):
     path.write_text('{"id": 1}\n')
     with pytest.raises(corpus.DataError):
         corpus.read_posts(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("title", 5), ("body", ["a"]), ("lang", None),
+])
+def test_read_posts_rejects_non_string_fields(tmp_path, field, value):
+    record = {"id": 1, "lang": "python", "title": "How to sort?",
+              "body": "<pre><code>x = 1</code></pre>", "score": 3, field: value}
+    path = tmp_path / "posts.jsonl"
+    path.write_text("\n" + json.dumps(record) + "\n")
+    with pytest.raises(corpus.DataError, match=f"{path}:2:"):
+        corpus.read_posts(path)

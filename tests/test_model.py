@@ -110,7 +110,7 @@ def test_attention_single_position():
 def test_attention_identical_rows_uniform():
     hyper = tiny_hyper()
     params = init_parameters(hyper, 10, Rng(1))
-    H = nm.stack_rows([Tensor(np.ones(2 * hyper.hidden))] * 4)
+    H = Tensor(np.ones((4, 2 * hyper.hidden)))
     s = Tensor(Rng(2).uniform(-1, 1, hyper.hidden))
     a, c = attention_step(s, H, None, params)
     assert np.allclose(a.data, [0.25] * 4, atol=1e-6)
@@ -300,25 +300,34 @@ def test_overfit_single_example_loss_nonincreasing():
                 t.data -= (0.01 * t.grad).astype(t.data.dtype)
 
 
-def _composed_lstm_cell(x, h_prev, c_prev, w, u, b):
+def _composed_lstm_seq(x, h0, c0, w, u, b):
+    # the same LSTM as one matvec-and-elementwise cell per row
     hsize = u.data.shape[1]
-    z = nm.add(nm.add(nm.matmul(w, x), nm.matmul(u, h_prev)), b)
-    i = nm.sigmoid(nm.slice1d(z, 0, hsize))
-    f = nm.sigmoid(nm.slice1d(z, hsize, 2 * hsize))
-    o = nm.sigmoid(nm.slice1d(z, 2 * hsize, 3 * hsize))
-    g = nm.tanh(nm.slice1d(z, 3 * hsize, 4 * hsize))
-    c = nm.add(nm.mul(f, c_prev), nm.mul(i, g))
-    return nm.mul(o, nm.tanh(c)), c
+    h, c, rows = h0, c0, []
+    for t in range(x.shape[0]):
+        z = nm.add(nm.add(nm.matmul(w, nm.index(x, t)), nm.matmul(u, h)), b)
+        i, f, o, g = (nm.index(z, slice(k * hsize, (k + 1) * hsize)) for k in range(4))
+        i, f, o, g = nm.sigmoid(i), nm.sigmoid(f), nm.sigmoid(o), nm.tanh(g)
+        c = nm.add(nm.mul(f, c), nm.mul(i, g))
+        h = nm.mul(o, nm.tanh(c))
+        rows.append(nm.concat([nm.index(h, (None, None)), nm.index(c, (None, None))],
+                              axis=1))
+    return nm.concat(rows)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("ablation", ["basic", "atten", "atten+copy",
                                       "atten+coverage", "full"])
-def test_lstm_cell_matches_composed_ops_bitwise(ablation, dtype, monkeypatch):
-    # the same batch loss and gradients, bit for bit, with every LSTM cell
-    # of the encoder and decoder built from elementwise ops instead; a small
-    # vocabulary makes tokens repeat, so embedding rows and the shared cell
-    # weights sum gradients from many places
+def test_lstm_seq_matches_composed_ops(ablation, dtype, monkeypatch):
+    # the same batch loss and gradients with every LSTM of the encoder and
+    # decoder built step by step from elementwise ops instead; a small
+    # vocabulary makes tokens repeat, so embedding rows and the shared LSTM
+    # weights sum gradients from many places. One input-projection product
+    # and one weight-gradient product per sequence sum in another order than
+    # per-step matvecs, so the two agree to rounding, not bit for bit: the
+    # loss to ``rtol`` of itself, every gradient to ``rtol`` of the largest
+    # gradient entry (W_sh and b_att add the same to every attention score,
+    # which the softmax cancels, so theirs are rounding-sized).
     def batch_grads(seed):
         with nm.use_dtype(dtype):
             hyper = tiny_hyper(embed=2 + seed % 4, hidden=2 + seed % 3,
@@ -333,11 +342,15 @@ def test_lstm_cell_matches_composed_ops_bitwise(ablation, dtype, monkeypatch):
             return [loss.data] + [t.grad for t in params.values()
                                   if t.grad is not None]
 
+    rtol = 1e-12 if dtype is np.float64 else 1e-5
     for seed in range(6):
         fused = batch_grads(seed)
         with monkeypatch.context() as m:
-            m.setattr(nm, "lstm_cell", _composed_lstm_cell)
+            m.setattr(nm, "lstm_seq", _composed_lstm_seq)
             composed = batch_grads(seed)
         assert len(fused) == len(composed)
-        for a, b in zip(fused, composed):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert all(a.dtype == b.dtype for a, b in zip(fused, composed))
+        assert abs(fused[0] - composed[0]) <= rtol * abs(composed[0])
+        scale = max(np.abs(b).max() for b in composed[1:])
+        for a, b in zip(fused[1:], composed[1:]):
+            assert np.abs(a - b).max() <= rtol * scale

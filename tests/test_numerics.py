@@ -86,51 +86,54 @@ def test_sigmoid_no_overflow():
     assert np.allclose(out.data, [0.0, 1.0])
 
 
-def test_lstm_cell_all_zeros():
+def test_lstm_seq_all_zeros():
     h = 4
     z = Tensor(np.zeros(h))
     w = Tensor(np.zeros((4 * h, h)))
     u = Tensor(np.zeros((4 * h, h)))
     b = Tensor(np.zeros(4 * h))
-    hout, cout = nm.lstm_cell(z, z, z, w, u, b)
-    assert np.allclose(hout.data, 0.0)
-    assert np.allclose(cout.data, 0.0)
+    out = nm.lstm_seq(Tensor(np.zeros((3, h))), z, z, w, u, b)
+    assert out.shape == (3, 2, h)
+    assert np.allclose(out.data, 0.0)
 
 
-def test_lstm_cell_cprev_zero_forget_irrelevant():
+def test_lstm_seq_cprev_zero_forget_irrelevant():
     h = 3
     rng = Rng(5)
     w1 = Tensor(rng.uniform(-0.5, 0.5, (4 * h, h)))
     u = Tensor(rng.uniform(-0.5, 0.5, (4 * h, h)))
-    x = Tensor(rng.uniform(-1, 1, h))
+    x = Tensor(rng.uniform(-1, 1, (1, h)))
     hp = Tensor(rng.uniform(-1, 1, h))
     cz = Tensor(np.zeros(h))
     # bias on the forget gate changes f but must not change c when c_prev=0
     b1 = Tensor(np.zeros(4 * h))
     b2 = np.zeros(4 * h)
     b2[h:2 * h] = 5.0
-    _, c1 = nm.lstm_cell(x, hp, cz, w1, u, b1)
-    _, c2 = nm.lstm_cell(x, hp, cz, w1, u, Tensor(b2))
-    assert np.allclose(c1.data, c2.data, atol=1e-6)
+    c1 = nm.lstm_seq(x, hp, cz, w1, u, b1).data[0, 1]
+    c2 = nm.lstm_seq(x, hp, cz, w1, u, Tensor(b2)).data[0, 1]
+    assert np.allclose(c1, c2, atol=1e-6)
 
 
-def test_lstm_cell_gradients_match_finite_differences():
-    h = 4
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_lstm_seq_gradients_match_finite_differences(reverse):
+    h, steps = 4, 3
     rng = Rng(11)
+    rev = slice(None, None, -1)
     with nm.use_dtype(np.float64):
         w = Tensor(rng.uniform(-0.3, 0.3, (4 * h, h)))
         u = Tensor(rng.uniform(-0.3, 0.3, (4 * h, h)))
         b = Tensor(rng.uniform(-0.3, 0.3, 4 * h))
-        x = Tensor(rng.uniform(-1, 1, h))
+        x = Tensor(rng.uniform(-1, 1, (steps, h)))
         hp = Tensor(rng.uniform(-1, 1, h))
         cp = Tensor(rng.uniform(-1, 1, h))
-        probe = Tensor(rng.uniform(-1, 1, h))
+        probe = Tensor(rng.uniform(-1, 1, (steps, 2, h)))
 
         def f():
-            hout, _ = nm.lstm_cell(x, hp, cp, w, u, b)
-            return nm.dot(hout, probe)
+            out = (nm.index(nm.lstm_seq(nm.index(x, rev), hp, cp, w, u, b), rev)
+                   if reverse else nm.lstm_seq(x, hp, cp, w, u, b))
+            return nm.sum_all(nm.mul(out, probe))
 
-        err = nm.finite_diff_check(f, [w, u, b, x, hp, cp], epsilon=1e-5)
+        err = nm.finite_diff_check(f, [x, hp, cp, w, u, b], epsilon=1e-5)
     assert err < 1e-3
 
 
@@ -202,7 +205,7 @@ def test_scatter_add_and_pad():
     v = Tensor([0.25, 0.5, 0.25])
     out = nm.scatter_add(v, [2, 0, 2], 4)
     assert np.allclose(out.data, [0.5, 0.0, 0.5, 0.0])
-    nm.take_scalar(out, 2).backward()
+    nm.index(out, 2).backward()
     assert np.allclose(v.grad, [1.0, 0.0, 1.0])
     padded = nm.pad_zeros(Tensor([1.0, 2.0]), 4)
     assert np.allclose(padded.data, [1.0, 2.0, 0.0, 0.0])

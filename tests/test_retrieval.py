@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from c2q.corpus import QCPair
 from c2q.numerics import Rng
-from c2q.retrieval import (CodeEmbedding, TfidfIndex, code_similarity,
-                           dedup_testset, embed_code, ir_baseline,
-                           topk_similar)
+from c2q.retrieval import (CodeEmbedding, EmbeddedCorpus, TfidfIndex,
+                           code_similarity, dedup_testset, embed_code,
+                           embed_corpus, ir_baseline, topk_similar)
 from c2q.vocab import build_vocab
 
 
@@ -241,6 +241,8 @@ def test_topk_ids_match_sorting_by_code_similarity(codes, dups, query, k, seed,
                       if not (emb := embed_code(p.code_tokens, E, vocab, normalize)).zero)
     results = topk_similar(query, corpus_pairs, E, vocab, k, normalize)
     assert [doc_id for _, _, doc_id in results] == [pid for _, pid in expected[:k]]
+    assert topk_similar(query, embed_corpus(corpus_pairs, E, vocab, normalize),
+                        E, vocab, k, normalize) == results
     for (_, sim, _), (neg_sim, _) in zip(results, expected):
         assert abs(sim + neg_sim) <= 1e-12
 
@@ -253,3 +255,11 @@ def test_topk_corpus_without_embeddings_is_empty(codes, k):
     E = Rng(9).uniform(-1, 1, (len(vocab), 8))
     corpus_pairs = [pair(i, code) for i, code in enumerate(codes)]
     assert topk_similar(["a"], corpus_pairs, E, vocab, k) == []
+
+
+def test_corpus_similarities_equal_numpy_norm_bitwise():
+    rng = Rng(4)
+    M = rng.uniform(-1, 1, (500, 37)).astype(np.float64)
+    q = CodeEmbedding(rng.uniform(-1, 1, 37).astype(np.float64), zero=False)
+    sims = EmbeddedCorpus([], M).similarities(q)
+    assert np.array_equal(sims, 1.0 - np.linalg.norm(M - q.vector, axis=1))
