@@ -10,6 +10,7 @@ a copy gate, and the mixture distribution over the extended vocabulary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,13 @@ class Hyperparams:
             raise ValueError("copy requires attention")
         if "coverage" in self.ablation and "attention" not in self.ablation:
             raise ValueError("coverage requires attention")
-        if self.lambda_cov < 0:
-            raise ValueError("lambda_cov must be >= 0")
+        lam = self.lambda_cov
+        if (isinstance(lam, bool) or not isinstance(lam, (int, float))
+                or not math.isfinite(lam) or lam < 0):
+            raise ValueError(f"lambda_cov must be a finite number >= 0, not {lam!r}")
+        if type(self.vocab_min_freq) is not int or self.vocab_min_freq < 0:
+            raise ValueError(f"vocab_min_freq must be an integer >= 0, not "
+                             f"{self.vocab_min_freq!r}")
         for dim in ("embed_dim", "hidden", "max_decode_len"):
             if getattr(self, dim) < 1:
                 raise ValueError(f"{dim} must be >= 1")
@@ -138,6 +144,7 @@ class EncoderOutput:
     H: Tensor            # (M, 2h) last-layer fw/bw concatenations
     s0: tuple            # (hidden, cell) decoder initial state
     summary: Tensor      # (2h,) [fw_M; bw_1], the fixed context for the basic model
+    keys: Tensor | None  # (M, a) attention keys H·W_ehᵀ; None without attention
 
     @property
     def source_len(self):
@@ -196,14 +203,22 @@ def encode(base_ids, params, hyper):
                             for k in (0, 1))
     s0_h = nm.tanh(nm.linear(summary_h, params["W_b"], params["b_b"]))
     s0_c = nm.tanh(nm.linear(summary_c, params["W_b"], params["b_b"]))
-    return EncoderOutput(H=H, s0=(s0_h, s0_c), summary=summary_h)
+    keys = _attention_keys(H, params) if hyper.attention else None
+    return EncoderOutput(H=H, s0=(s0_h, s0_c), summary=summary_h, keys=keys)
 
 
-def attention_step(s_t, H, cov, params, mask=None):
+def _attention_keys(H, params):
+    return nm.matmul(H, nm.transpose(params["W_eh"]))
+
+
+def attention_step(s_t, H, cov, params, mask=None, keys=None):
     """(a_t, c_t): softmax attention over source rows of H and the weighted
-    context. ``cov`` of None means the coverage term is dropped."""
-    pre = nm.add(nm.matmul(H, nm.transpose(params["W_eh"])),
-                 nm.linear(s_t, params["W_sh"], params["b_att"]))
+    context. ``cov`` of None means the coverage term is dropped. ``keys``
+    are H·W_ehᵀ as ``encode`` computes them once per source; None
+    recomputes them."""
+    if keys is None:
+        keys = _attention_keys(H, params)
+    pre = nm.add(keys, nm.linear(s_t, params["W_sh"], params["b_att"]))
     if cov is not None:
         pre = nm.add(pre, nm.outer(cov, params["W_cv"]))
     scores = nm.matmul(nm.tanh(pre), params["v"])
@@ -224,7 +239,8 @@ def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask=Non
     h, c_state = nm.index(out, (0, 0)), nm.index(out, (0, 1))
 
     if hyper.attention:
-        a, ctx = attention_step(h, enc.H, cov if hyper.coverage else None, params, mask)
+        a, ctx = attention_step(h, enc.H, cov if hyper.coverage else None, params, mask,
+                                enc.keys)
         cov_next = nm.add(cov, a) if cov is not None else None
     else:
         a, ctx, cov_next = None, enc.summary, cov

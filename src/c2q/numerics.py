@@ -10,6 +10,7 @@ test mode with tighter tolerances.
 from __future__ import annotations
 
 import contextlib
+from collections import namedtuple
 
 import numpy as np
 
@@ -82,20 +83,55 @@ class Tensor:
         return matmul(self, other)
 
     def backward(self):
+        """Accumulate d(self)/d(t) into ``t.grad`` for every tensor t below.
+
+        Dense gradients are added as they arrive. Factored weight gradients
+        and row updates wait per tensor and are folded in just before that
+        tensor's own backward runs (every consumer has reported by then):
+        all factor pairs as one product, all row updates with ``np.add.at``.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
+        deferred = {}  # id(tensor) -> ([_Factors], [_Rows])
         for t in reversed(order):
+            parts = deferred.pop(id(t), None)
+            if parts is not None:
+                _fold(t, *parts)
             if t._backward is None or t.grad is None:
                 continue
             grads = t._backward(t.grad)
             for parent, g in zip(t._parents, grads):
                 if g is None:
                     continue
+                if isinstance(g, (_Factors, _Rows)):
+                    deferred.setdefault(id(parent), ([], []))[isinstance(g, _Rows)].append(g)
+                    continue
                 if parent.grad is None:
                     parent.grad = np.zeros_like(parent.data)
                 np.add(parent.grad, g.reshape(parent.data.shape), out=parent.grad)
+
+
+# Gradients that backward defers and folds per tensor: ``outer(left, right)``
+# kept as its two factors, and ``g`` at ``[key]`` with zeros elsewhere.
+_Factors = namedtuple("_Factors", "left right")
+_Rows = namedtuple("_Rows", "key g")
+
+
+def _fold(t, factors, rows):
+    """Add deferred gradients into ``t.grad``: the factor pairs as one
+    ``stack(left).T @ stack(right)`` product, then each row update."""
+    if factors:
+        prod = np.stack([f.left for f in factors]).T @ np.stack([f.right for f in factors])
+        if t.grad is None:
+            t.grad = prod.astype(t.data.dtype, copy=False)
+        else:
+            np.add(t.grad, prod, out=t.grad)
+    if rows and t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    for r in rows:
+        np.add.at(t.grad, r.key, r.g)
 
 
 def _toposort(root):
@@ -190,14 +226,14 @@ def matmul(a, b):
             raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} not conformable")
 
         def bw(g):
-            return np.outer(g, bd), ad.T @ g
+            return _Factors(g, bd), ad.T @ g
 
     elif ad.ndim == 1 and bd.ndim == 2:
         if ad.shape[0] != bd.shape[0]:
             raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} not conformable")
 
         def bw(g):
-            return bd @ g, np.outer(ad, g)
+            return bd @ g, _Factors(ad, g)
 
     elif ad.ndim == 2 and bd.ndim == 2:
         if ad.shape[1] != bd.shape[0]:
@@ -251,27 +287,17 @@ def concat(tensors, axis=0):
 
 
 def index(a, key):
-    """``a[key]`` for a basic numpy index (ints, slices, None)."""
+    """``a[key]`` for a basic numpy index (ints, slices, None). Backward
+    hands ``g`` on as a row update of ``a[key]``."""
     a = _wrap(a)
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[key] = g
-        return (full,)
-
-    return Tensor(a.data[key], (a,), bw)
+    return Tensor(a.data[key], (a,), lambda g: (_Rows(key, g),))
 
 
 def gather_rows(m, indices):
+    """Rows ``m[indices]``; repeated indices add up in backward."""
     m = _wrap(m)
     idx = np.asarray(indices, dtype=np.int64)
-
-    def bw(g):
-        full = np.zeros_like(m.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return Tensor(m.data[idx], (m,), bw)
+    return Tensor(m.data[idx], (m,), lambda g: (_Rows(idx, g),))
 
 
 def scatter_add(values, indices, size):

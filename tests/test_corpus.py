@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2q import corpus
 from c2q.corpus import (QCPair, RawPost, SplitSpec, extract_pairs,
@@ -216,3 +218,18 @@ def test_read_posts_rejects_non_string_fields(tmp_path, field, value):
     path.write_text("\n" + json.dumps(record) + "\n")
     with pytest.raises(corpus.DataError, match=f"{path}:2:"):
         corpus.read_posts(path)
+
+
+# Comment, string and number openers of the five languages, so arbitrary
+# text also reaches every branch of the scanner.
+CODE_FRAGMENTS = st.sampled_from(["#", "//", "--", "/*", "*/", "'", '"', "`", '"""',
+                                  "@\"", "\\", "\n", "0x", "1e", "9.", "_a"])
+
+
+@settings(max_examples=300)
+@given(text=st.lists(st.one_of(st.text(), CODE_FRAGMENTS)).map("".join),
+       lang=st.sampled_from(corpus.LANGS))
+def test_tokenize_code_total_over_unicode(text, lang):
+    tokens = tokenize_code(text, lang, warnings=[])
+    assert all(isinstance(tok, str) and tok for tok in tokens)
+    assert not any(ch.isspace() for tok in tokens for ch in tok)

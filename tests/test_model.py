@@ -46,6 +46,16 @@ def test_hyper_invariants():
         Hyperparams(lambda_cov=-1.0)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("lambda_cov", math.nan), ("lambda_cov", math.inf), ("lambda_cov", True),
+    ("lambda_cov", "1"), ("vocab_min_freq", -1), ("vocab_min_freq", "x"),
+    ("vocab_min_freq", 1.0), ("vocab_min_freq", True),
+])
+def test_hyperparams_reject_bad_lambda_cov_and_min_freq(field, bad):
+    with pytest.raises(ValueError, match=field):
+        Hyperparams(**{field: bad})
+
+
 def test_encode_single_token():
     hyper = tiny_hyper()
     params = init_parameters(hyper, 10, Rng(0))
@@ -115,6 +125,30 @@ def test_attention_identical_rows_uniform():
     a, c = attention_step(s, H, None, params)
     assert np.allclose(a.data, [0.25] * 4, atol=1e-6)
     assert np.allclose(c.data, np.ones(2 * hyper.hidden), atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_precomputed_keys_match_recomputed(dtype):
+    with nm.use_dtype(dtype):
+        hyper = tiny_hyper()
+        params = init_parameters(hyper, 12, Rng(4))
+        enc = encode([3, 5, 7, 5, 9], params, hyper)
+        rng = Rng(5)
+        s = Tensor(rng.uniform(-1, 1, hyper.hidden))
+        cov = Tensor(rng.uniform(0, 1, 5))
+        mask = np.array([True, True, False, True, True])
+        with_keys = attention_step(s, enc.H, cov, params, mask, keys=enc.keys)
+        recomputed = attention_step(s, enc.H, cov, params, mask)
+    assert enc.keys.data.dtype == dtype
+    for got, want in zip(with_keys, recomputed):
+        assert got.data.dtype == dtype
+        assert np.array_equal(got.data, want.data)
+
+
+def test_encode_keys_only_with_attention():
+    hyper = tiny_hyper(ablation="basic")
+    params = init_parameters(hyper, 12, Rng(4))
+    assert encode([3, 5], params, hyper).keys is None
 
 
 def test_attention_matches_hand_computation():

@@ -43,6 +43,49 @@ def test_backward_accumulates_instead_of_overwriting():
     assert np.allclose(w.grad, 2 * np.outer([1.0, 1.0], [1.0, 1.0]))
 
 
+def test_backward_folds_factored_and_row_gradients():
+    # W meets W@x and x@W three times, A enters as a non-leaf matrix operand,
+    # E is read by leaf index (int and slice keys) and gather_rows with
+    # repeated ids; every gradient is checked against a dense hand-computed
+    # reference after two backward passes have accumulated.
+    rng = Rng(17)
+    with nm.use_dtype(np.float64):
+        W, A, E = (Tensor(rng.uniform(-1, 1, shape)) for shape in ((3, 4), (3, 4), (5, 4)))
+        x2, x3, y, z = (Tensor(rng.uniform(-1, 1, n)) for n in (4, 4, 3, 3))
+        u1, u2, u3, u4, u5, v1 = (rng.uniform(-1, 1, n) for n in (3, 3, 4, 3, 4, 4))
+        V2, V3 = rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (5, 4))
+        ids = [0, 3, 0, 3, 3]
+
+        def loss():
+            x1 = nm.index(E, 2)
+            M = nm.tanh(A)
+            terms = [nm.dot(Tensor(u1), nm.matmul(W, x1)),
+                     nm.dot(Tensor(u2), nm.matmul(W, x2)),
+                     nm.dot(nm.matmul(y, W), Tensor(u3)),
+                     nm.dot(Tensor(u4), nm.matmul(M, x3)),
+                     nm.dot(nm.matmul(z, M), Tensor(u5)),
+                     nm.dot(x1, Tensor(v1)),
+                     nm.sum_all(nm.mul(nm.index(E, slice(1, 3)), Tensor(V2))),
+                     nm.sum_all(nm.mul(nm.gather_rows(E, ids), Tensor(V3)))]
+            return nm.add_n(terms)
+
+        for _ in range(2):
+            loss().backward()
+
+    w, a, e = W.data, A.data, E.data
+    m = np.tanh(a)
+    dW = np.outer(u1, e[2]) + np.outer(u2, x2.data) + np.outer(y.data, u3)
+    dA = (np.outer(u4, x3.data) + np.outer(z.data, u5)) * (1.0 - m * m)
+    dE = np.zeros_like(e)
+    dE[2] += w.T @ u1 + v1
+    dE[1:3] += V2
+    for row, i in zip(V3, ids):
+        dE[i] += row
+    for t, ref in ((W, dW), (A, dA), (E, dE), (x2, w.T @ u2), (x3, m.T @ u4),
+                   (y, w @ u3), (z, m @ u5)):
+        np.testing.assert_allclose(t.grad, 2 * ref, rtol=1e-12, atol=0)
+
+
 def test_softmax_uniform():
     p = nm.softmax(Tensor([1.0, 1.0, 1.0]))
     assert np.allclose(p.data, [1 / 3] * 3, atol=1e-6)

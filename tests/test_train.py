@@ -3,12 +3,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2q.corpus import QCPair
 from c2q.model import (ABLATION_PRESETS, Hyperparams, Parameters,
                        encode_example, init_parameters, sequence_loss)
 from c2q.numerics import Rng, Tensor
-from c2q.train import (CHECKPOINT_MAGIC, CheckpointFormatError,
+from c2q.train import (CHECKPOINT_MAGIC, CheckpointError, CheckpointFormatError,
                        CheckpointHashError, CheckpointTruncatedError,
                        TrainConfig, TrainingDivergedError, clip_global_norm,
                        load_checkpoint, mean_loss, save_checkpoint, train)
@@ -213,6 +215,15 @@ BAD_HEADERS = {
     "float-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": 8.0}},
     "other-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": 9}},
     "zero-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": 0}},
+    "nan-lambda-cov": lambda h: {**h, "hyperparams": {**h["hyperparams"],
+                                                      "lambda_cov": float("nan")}},
+    "inf-lambda-cov": lambda h: {**h, "hyperparams": {**h["hyperparams"],
+                                                      "lambda_cov": float("inf")}},
+    "bool-lambda-cov": lambda h: {**h, "hyperparams": {**h["hyperparams"], "lambda_cov": True}},
+    "string-min-freq": lambda h: {**h, "hyperparams": {**h["hyperparams"],
+                                                       "vocab_min_freq": "x"}},
+    "negative-min-freq": lambda h: {**h, "hyperparams": {**h["hyperparams"],
+                                                         "vocab_min_freq": -1}},
     "missing-tensor": _edit_manifest(lambda m: m.pop()),
     "extra-tensor": _edit_manifest(lambda m: m.append(dict(m[-1], name="extra"))),
     "reordered": _edit_manifest(lambda m: m.reverse()),
@@ -236,6 +247,40 @@ def test_checkpoint_header_schema(tmp_path, mutate):
     _rewrite_header(path, mutate)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(str(path), "h")
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    hyper = small_hyper(embed_dim=2, hidden=2)
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(init_parameters(hyper, 6, Rng(2)), hyper, "h", str(path))
+    return path, path.read_bytes()
+
+
+def _load_or_checkpoint_error(path, raw):
+    path.write_bytes(raw)
+    try:
+        load_checkpoint(str(path))
+    except CheckpointError:
+        pass
+
+
+@settings(max_examples=200)
+@given(cut=st.integers(0, 2 ** 16))
+def test_truncated_checkpoint_loads_or_raises_checkpoint_error(checkpoint_bytes, cut):
+    path, raw = checkpoint_bytes
+    _load_or_checkpoint_error(path, raw[:cut % (len(raw) + 1)])
+
+
+@settings(max_examples=300)
+@given(flips=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(1, 255)),
+                      min_size=1, max_size=4))
+def test_byte_flipped_checkpoint_loads_or_raises_checkpoint_error(checkpoint_bytes, flips):
+    path, raw = checkpoint_bytes
+    mutated = bytearray(raw)
+    for pos, mask in flips:
+        mutated[pos % len(raw)] ^= mask
+    _load_or_checkpoint_error(path, bytes(mutated))
 
 
 def test_nan_validation_loss_raises_and_writes_no_checkpoint(tmp_path):
