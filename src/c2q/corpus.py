@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from .numerics import Rng
+from .vocab import SPECIALS
 
 LANGS = ("python", "java", "javascript", "csharp", "sql")
 
@@ -143,9 +144,43 @@ _SYNTAX = {
                        doubled_quote_escape=True),
 }
 
-_IDENT_START = re.compile(r"[A-Za-z_]")
-_IDENT = re.compile(r"[A-Za-z0-9_]")
-_NUMBER = re.compile(r"(?:0[xX][0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)[A-Za-z]*")
+_NUMBER = r"(?:0[xX][0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)[A-Za-z]*"
+
+
+def _string_patterns(delim, syn):
+    """(closed, unterminated) patterns of one string delimiter: the closed
+    one ends at the first closing delimiter that is not escaped, and the
+    unterminated one runs to the end of the opening line."""
+    d, esc = re.escape(delim), re.escape(syn.escape_char)
+    body = [esc + "."] if syn.escape_char else []
+    if syn.doubled_quote_escape:
+        body.append(d + d)
+    newline = r"\n" if len(delim) == 1 else ""
+    body.append(f"[^{esc}{re.escape(delim[0])}{newline}]")
+    if len(delim) > 1:
+        body.append(f"{re.escape(delim[0])}(?!{re.escape(delim[1:])})")
+    close = d + (f"(?!{d})" if syn.doubled_quote_escape else "")
+    return f"{d}(?:{'|'.join(body)})*{close}", d + r"[^\n]*"
+
+
+def _lexer(syn):
+    """One compiled pattern for a language, plus the (token, warning) of each
+    alternative by group number: token None drops the match, "" keeps its
+    text. At each position the first alternative that matches wins."""
+    alts = [(r"\s+", None, None)]
+    alts += [(re.escape(mark) + r"[^\n]*", None, None) for mark in syn.line_comments]
+    for open_mark, close_mark in syn.block_comments:
+        o, c = re.escape(open_mark), re.escape(close_mark)
+        alts += [(f"{o}.*?{c}", None, None), (f"{o}.*", None, "unterminated block comment")]
+    for delim in syn.string_delims:
+        closed, open_ = _string_patterns(delim, syn)
+        alts += [(closed, "STRING", None), (open_, "STRING", "unterminated string literal")]
+    alts += [(_NUMBER, "NUMBER", None), (r"[A-Za-z_][A-Za-z0-9_]*|.", "", None)]
+    pattern = re.compile("|".join(f"({a})" for a, _, _ in alts), re.DOTALL)
+    return pattern, (None,) + tuple((token, warning) for _, token, warning in alts)
+
+
+_LEXERS = {lang: _lexer(syn) for lang, syn in _SYNTAX.items()}
 
 
 def tokenize_code(text, lang, warnings=None):
@@ -153,90 +188,21 @@ def tokenize_code(text, lang, warnings=None):
 
     Numeric literals become NUMBER, string literals STRING; the remainder
     splits into identifiers and single punctuation characters. An
-    unterminated string swallows the rest of its line as STRING and records
-    a warning (when a ``warnings`` list is supplied).
+    unterminated string swallows the rest of its line as STRING, and an
+    unterminated block comment the rest of the text; each records a warning
+    (when a ``warnings`` list is supplied).
     """
-    if lang not in _SYNTAX:
+    if lang not in _LEXERS:
         raise DataError(f"unsupported language: {lang!r}")
-    syn = _SYNTAX[lang]
+    pattern, actions = _LEXERS[lang]
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        lc = _match_any(text, i, syn.line_comments)
-        if lc:
-            i = _line_end(text, i)
-            continue
-        matched_block = False
-        for open_mark, close_mark in syn.block_comments:
-            if text.startswith(open_mark, i):
-                end = text.find(close_mark, i + len(open_mark))
-                if end < 0:
-                    if warnings is not None:
-                        warnings.append(f"unterminated block comment at offset {i}")
-                    i = n
-                else:
-                    i = end + len(close_mark)
-                matched_block = True
-                break
-        if matched_block:
-            continue
-        delim = _match_any(text, i, syn.string_delims)
-        if delim:
-            i = _scan_string(text, i, delim, syn, warnings)
-            tokens.append("STRING")
-            continue
-        # str.isdigit also accepts digits such as "²" that \d does not match
-        m = _NUMBER.match(text, i) if ch.isdigit() else None
-        if m:
-            tokens.append("NUMBER")
-            i = m.end()
-            continue
-        if _IDENT_START.match(ch):
-            j = i + 1
-            while j < n and _IDENT.match(text[j]):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        tokens.append(ch)
-        i += 1
+    for m in pattern.finditer(text):
+        token, warning = actions[m.lastindex]
+        if warning and warnings is not None:
+            warnings.append(f"{warning} at offset {m.start()}")
+        if token is not None:
+            tokens.append(token or m.group())
     return tokens
-
-
-def _match_any(text, i, marks):
-    for mark in marks:
-        if text.startswith(mark, i):
-            return mark
-    return None
-
-
-def _line_end(text, i):
-    end = text.find("\n", i)
-    return len(text) if end < 0 else end
-
-
-def _scan_string(text, i, delim, syn, warnings):
-    j = i + len(delim)
-    n = len(text)
-    while j < n:
-        if syn.escape_char and text[j] == syn.escape_char:
-            j += 2
-            continue
-        if text.startswith(delim, j):
-            if syn.doubled_quote_escape and text.startswith(delim * 2, j):
-                j += 2 * len(delim)
-                continue
-            return j + len(delim)
-        if text[j] == "\n" and len(delim) == 1:
-            break
-        j += 1
-    if warnings is not None:
-        warnings.append(f"unterminated string literal at offset {i}")
-    return _line_end(text, i)
 
 
 _TITLE_TOKEN = re.compile(r"\w+|[^\w\s]")
@@ -320,20 +286,31 @@ def read_posts(path):
                 posts.append(RawPost(id=int(obj["id"]), lang=obj["lang"],
                                      title=obj["title"], body=obj["body"],
                                      score=int(obj["score"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: bad post record: {exc}") from exc
     return posts
 
 
+_MARKER = re.compile("|".join(map(re.escape, SPECIALS)))
+_SPECIALS = frozenset(SPECIALS)
+
+
 def token_list(value, field):
-    """``value`` checked to be a JSON list of non-empty strings."""
-    if isinstance(value, list) and all(value):
-        try:
-            "".join(value)  # rejects any non-string, at C speed
-            return value
-        except TypeError:
-            pass
-    raise DataError(f"{field} must be a list of non-empty strings")
+    """``value`` checked to be a JSON list of tokens: non-empty strings with
+    no whitespace, none of them a special marker such as ``<end>``."""
+    try:
+        joined = "".join(value) if isinstance(value, list) and all(value) else None
+    except TypeError:  # an item that is not a string
+        joined = None
+    # split gives back [joined] only when joined holds no whitespace, faster
+    # than a regex; a marker found in joined may span tokens ("<", "end",
+    # ">"), so the set test decides
+    if (joined is not None and (not joined or joined.split(None, 1) == [joined])
+            and not (_MARKER.search(joined) and not _SPECIALS.isdisjoint(value))):
+        return value
+    raise DataError(f"{field} must be a list of non-empty, whitespace-free strings "
+                    f"other than {', '.join(SPECIALS)}")
 
 
 def write_pairs(pairs, path):
@@ -357,6 +334,7 @@ def read_pairs(path):
                     id=int(obj["id"]), lang=obj["lang"],
                     code_tokens=token_list(obj["code_tokens"], "code_tokens"),
                     title_tokens=token_list(obj["title_tokens"], "title_tokens")))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: bad pair record: {exc}") from exc
     return pairs

@@ -36,8 +36,9 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense array plus an optional backward closure.
 
-    ``grad`` accumulates across backward passes until explicitly cleared;
-    backward never overwrites an existing gradient.
+    A leaf's ``grad`` accumulates across backward passes until explicitly
+    cleared; backward never overwrites it. A non-leaf's ``grad`` is dropped
+    once its own backward has run.
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
@@ -83,7 +84,7 @@ class Tensor:
         return matmul(self, other)
 
     def backward(self):
-        """Accumulate d(self)/d(t) into ``t.grad`` for every tensor t below.
+        """Accumulate d(self)/d(t) into ``t.grad`` for every leaf t below.
 
         Dense gradients are added as they arrive. Factored weight gradients
         and row updates wait per tensor and are folded in just before that
@@ -102,6 +103,7 @@ class Tensor:
             if t._backward is None or t.grad is None:
                 continue
             grads = t._backward(t.grad)
+            t.grad = None  # a non-leaf's gradient is spent; a second pass starts clean
             for parent, g in zip(t._parents, grads):
                 if g is None:
                     continue

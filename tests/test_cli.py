@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2q import corpus, retrieval
 from c2q.cli import run
@@ -306,6 +310,8 @@ def test_count_below_one_in_config_is_data_error(workdir, capsys, tmp_path):
     '{"code": 5}',
     '{"code": "x = 1", "lang": ["python"]}',
     '{"code": "x = 1", "lang": "cobol"}',
+    '{"code_tokens": ["a b"]}',
+    '{"code_tokens": ["x", "<end>"]}',
 ])
 def test_malformed_snippet_is_data_error(workdir, capsys, tmp_path, line):
     snippets = tmp_path / "s.jsonl"
@@ -318,3 +324,69 @@ def test_malformed_snippet_is_data_error(workdir, capsys, tmp_path, line):
         assert out.out == ""
         assert len(_error_lines(out.err)) == 1
         assert out.err.startswith("error kind=data")
+
+
+def test_build_vocab_rejects_whitespace_token(capsys, tmp_path):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"id": 1, "lang": "python", "code_tokens": ["a\nb", "c\rd"],
+                                 "title_tokens": ["how"]}) + "\n")
+    out = tmp_path / "vocab.txt"
+    assert run(["build-vocab", "--pairs", str(pairs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(_error_lines(err)) == 1 and err.startswith("error kind=data")
+    assert not out.exists()
+
+
+# Reader fuzzing: each reader gets lines of raw bytes, or valid JSON records
+# with one field set to an arbitrary JSON value; edge values that readers
+# have mishandled before are drawn explicitly.
+JSON_LEAF = st.one_of(st.integers(), st.floats(), st.text(max_size=6), st.none(),
+                      st.booleans())
+JSON_VALUE = st.one_of(
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1.5, 2 ** 64, "12",
+                     "a b", "<end>"]),
+    JSON_LEAF, st.lists(JSON_LEAF, max_size=3),
+    st.dictionaries(st.text(max_size=3), JSON_LEAF, max_size=3))
+VALID_RECORDS = {
+    "posts": {"id": 1, "lang": "python", "title": "How do I sum a range of numbers?",
+              "body": "<code>\nfor i in range(10):\n    total = total + i * 2\n"
+                      "print(total, i)\n</code>", "score": 3},
+    "pairs": {"id": 1, "lang": "python", "code_tokens": ["x", "=", "NUMBER"],
+              "title_tokens": ["how", "to", "x"]},
+    "snippets": {"code_tokens": ["x", "=", "y"], "code": "x = 1", "lang": "python"},
+}
+
+
+def _reader_input(reader):
+    valid = VALID_RECORDS[reader]
+    record = st.tuples(st.sampled_from(sorted(valid)), JSON_VALUE).map(
+        lambda field: {**valid, field[0]: field[1]})
+    line = st.one_of(st.binary(max_size=40), record.map(lambda r: json.dumps(r).encode()))
+    return st.tuples(st.just(reader), st.lists(line, min_size=1, max_size=3).map(b"\n".join))
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150)
+@given(case=st.sampled_from(sorted(VALID_RECORDS)).flatmap(_reader_input))
+def test_readers_exit_cleanly_on_arbitrary_input(workdir, fuzzdir, case):
+    reader, data = case
+    path = str(fuzzdir / "input.jsonl")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    argv = {"posts": ["preprocess", "--input", path, "--out-dir", str(fuzzdir / "out")],
+            "pairs": ["build-vocab", "--pairs", path, "--out", str(fuzzdir / "vocab.txt")],
+            "snippets": ["retrieve", "--train-pairs", workdir["train"],
+                         "--vocab", workdir["vocab"], "--input", path]}[reader]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 2)
+        assert err.count("\n") == 1 and err.startswith("error kind=")

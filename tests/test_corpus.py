@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +184,10 @@ def test_pairs_jsonl_roundtrip(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("code_tokens", "abc"), ("code_tokens", ["a", ""]), ("code_tokens", [1, 2]),
     ("title_tokens", "how"), ("title_tokens", None),
+    # tokens hold no whitespace and are no special marker
+    ("code_tokens", ["a\nb"]), ("code_tokens", ["c\rd"]), ("code_tokens", ["x", "a b"]),
+    ("code_tokens", ["\u2028"]), ("code_tokens", ["<unk>"]), ("title_tokens", ["how", "<end>"]),
+    ("title_tokens", ["<pad>"]), ("title_tokens", ["<start>", "x"]),
 ])
 def test_read_pairs_requires_lists_of_nonempty_strings(tmp_path, field, value):
     record = {"id": 1, "lang": "python", "code_tokens": ["x"],
@@ -191,6 +196,30 @@ def test_read_pairs_requires_lists_of_nonempty_strings(tmp_path, field, value):
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(corpus.DataError, match=field):
         corpus.read_pairs(path)
+
+
+def test_token_list_accepts_marker_text_spread_over_tokens():
+    # tokenize_code("a<end>b") is a valid token list that joins to "a<end>b"
+    tokens = tokenize_code("a<end>b", "java")
+    assert corpus.token_list(tokens, "code_tokens") == ["a", "<", "end", ">", "b"]
+    assert corpus.token_list([], "title_tokens") == []
+
+
+_POST = '"lang": "python", "title": "How?", "body": "<code>\\nx\\n</code>"'
+_PAIR = '"lang": "python", "code_tokens": ["x"], "title_tokens": ["how"]'
+
+
+@pytest.mark.parametrize("reader,line", [
+    (corpus.read_posts, '{"id": 1e400, "score": 1, %s}' % _POST),
+    (corpus.read_posts, '{"id": 1, "score": -1e400, %s}' % _POST),
+    (corpus.read_posts, '{"id": 1, "score": Infinity, %s}' % _POST),
+    (corpus.read_pairs, '{"id": 1e400, %s}' % _PAIR),
+], ids=["post-id", "post-score", "post-score-infinity", "pair-id"])
+def test_readers_reject_overflowing_numbers(tmp_path, reader, line):
+    path = tmp_path / "records.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(corpus.DataError, match=f"{path}:1:"):
+        reader(path)
 
 
 @pytest.mark.parametrize("lang", corpus.LANGS)
@@ -233,3 +262,87 @@ def test_tokenize_code_total_over_unicode(text, lang):
     tokens = tokenize_code(text, lang, warnings=[])
     assert all(isinstance(tok, str) and tok for tok in tokens)
     assert not any(ch.isspace() for tok in tokens for ch in tok)
+
+
+def _scanned_tokenize_code(text, lang, warnings):
+    """The per-character scanner that ``tokenize_code`` replaced, kept as
+    the reference its single pattern per language must match."""
+    syn = corpus._SYNTAX[lang]
+    number = re.compile(corpus._NUMBER)
+    ident_start, ident = re.compile(r"[A-Za-z_]"), re.compile(r"[A-Za-z0-9_]")
+
+    def match_any(i, marks):
+        return next((mark for mark in marks if text.startswith(mark, i)), None)
+
+    def line_end(i):
+        end = text.find("\n", i)
+        return len(text) if end < 0 else end
+
+    def scan_string(i, delim):
+        j = i + len(delim)
+        while j < n:
+            if syn.escape_char and text[j] == syn.escape_char:
+                j += 2
+                continue
+            if text.startswith(delim, j):
+                if syn.doubled_quote_escape and text.startswith(delim * 2, j):
+                    j += 2 * len(delim)
+                    continue
+                return j + len(delim)
+            if text[j] == "\n" and len(delim) == 1:
+                break
+            j += 1
+        warnings.append(f"unterminated string literal at offset {i}")
+        return line_end(i)
+
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if match_any(i, syn.line_comments):
+            i = line_end(i)
+            continue
+        block = next((b for b in syn.block_comments if text.startswith(b[0], i)), None)
+        if block:
+            end = text.find(block[1], i + len(block[0]))
+            if end < 0:
+                warnings.append(f"unterminated block comment at offset {i}")
+                i = n
+            else:
+                i = end + len(block[1])
+            continue
+        delim = match_any(i, syn.string_delims)
+        if delim:
+            i = scan_string(i, delim)
+            tokens.append("STRING")
+            continue
+        m = number.match(text, i) if ch.isdigit() else None
+        if m:
+            tokens.append("NUMBER")
+            i = m.end()
+            continue
+        if ident_start.match(ch):
+            j = i + 1
+            while j < n and ident.match(text[j]):
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+            continue
+        tokens.append(ch)
+        i += 1
+    return tokens
+
+
+@settings(max_examples=400)
+@given(text=st.lists(st.one_of(st.text(), CODE_FRAGMENTS,
+                               st.sampled_from(["'''", "''", "\\\n", "\r\n", "/*/", "0xZ"])))
+       .map("".join))
+def test_tokenize_code_matches_scanner(text):
+    for lang in corpus.LANGS:
+        expected_warnings, warnings = [], []
+        expected = _scanned_tokenize_code(text, lang, expected_warnings)
+        assert tokenize_code(text, lang, warnings) == expected, lang
+        assert warnings == expected_warnings, lang

@@ -43,6 +43,15 @@ def test_backward_accumulates_instead_of_overwriting():
     assert np.allclose(w.grad, 2 * np.outer([1.0, 1.0], [1.0, 1.0]))
 
 
+def test_repeated_backward_on_one_graph_adds_one_gradient_per_pass():
+    x = Tensor([0.3, -0.7])
+    s = nm.sum_all(nm.tanh(nm.scale(x, 2.0)))
+    s.backward()
+    first = x.grad.copy()
+    s.backward()
+    np.testing.assert_allclose(x.grad, 2 * first, rtol=1e-6)
+
+
 def test_backward_folds_factored_and_row_gradients():
     # W meets W@x and x@W three times, A enters as a non-leaf matrix operand,
     # E is read by leaf index (int and slice keys) and gather_rows with

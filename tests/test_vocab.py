@@ -1,7 +1,13 @@
-import pytest
+import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from c2q.corpus import DataError, token_list
 from c2q.numerics import Rng
-from c2q.vocab import (END, PAD, START, UNK, ExtendedVocab, Vocabulary,
+from c2q.vocab import (END, PAD, SPECIALS, START, UNK, ExtendedVocab, Vocabulary,
                        VocabFormatError, build_vocab, decode_ids,
                        encode_source, encode_target)
 
@@ -149,3 +155,33 @@ def test_vocab_file_bad_header(tmp_path):
     path.write_text("WRONG\n")
     with pytest.raises(VocabFormatError):
         Vocabulary.load(path)
+
+
+# Arbitrary unicode tokens; titles also draw the special markers. The
+# property covers exactly the token lists that the pair and snippet readers
+# accept, and holds trivially for the ones they reject.
+TOKEN = st.text(min_size=1, max_size=4)
+
+
+@settings(max_examples=200)
+@given(code=st.lists(TOKEN, min_size=1, max_size=8),
+       title=st.lists(st.one_of(TOKEN, st.sampled_from(SPECIALS)), max_size=6),
+       min_freq=st.integers(0, 2))
+def test_vocab_roundtrip_over_accepted_tokens(code, title, min_freq):
+    try:
+        token_list(code, "code_tokens")
+        token_list(title, "title_tokens")
+    except DataError:
+        return
+    vocab = build_vocab([code, title], min_freq=min_freq)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "vocab.txt")
+        vocab.save(path)
+        loaded = Vocabulary.load(path)
+    assert loaded.id_to_token == vocab.id_to_token
+    assert loaded.content_hash() == vocab.content_hash()
+    _, ext_ids, ev = encode_source(code, loaded)
+    assert decode_ids(ext_ids, loaded, ev) == code
+    copyable = set(loaded.id_to_token) | set(ev.oov_tokens)
+    assert decode_ids(encode_target(title, loaded, ev), loaded, ev) == \
+        [t if t in copyable else "<unk>" for t in title]
