@@ -283,22 +283,32 @@ def read_posts(path):
                 obj = json.loads(line)
                 if not all(isinstance(obj[k], str) for k in ("lang", "title", "body")):
                     raise TypeError("lang, title and body must be strings")
-                posts.append(RawPost(id=int(obj["id"]), lang=obj["lang"],
+                posts.append(RawPost(id=_json_int(obj, "id"), lang=obj["lang"],
                                      title=obj["title"], body=obj["body"],
-                                     score=int(obj["score"])))
+                                     score=_json_int(obj, "score")))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                     OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: bad post record: {exc}") from exc
     return posts
 
 
+def _json_int(obj, key):
+    """``obj[key]`` if it is a JSON integer: not a bool, a float or a string."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 _MARKER = re.compile("|".join(map(re.escape, SPECIALS)))
 _SPECIALS = frozenset(SPECIALS)
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
 
 
 def token_list(value, field):
     """``value`` checked to be a JSON list of tokens: non-empty strings with
-    no whitespace, none of them a special marker such as ``<end>``."""
+    no whitespace that UTF-8 can encode, none of them a special marker such
+    as ``<end>``."""
     try:
         joined = "".join(value) if isinstance(value, list) and all(value) else None
     except TypeError:  # an item that is not a string
@@ -307,9 +317,10 @@ def token_list(value, field):
     # than a regex; a marker found in joined may span tokens ("<", "end",
     # ">"), so the set test decides
     if (joined is not None and (not joined or joined.split(None, 1) == [joined])
-            and not (_MARKER.search(joined) and not _SPECIALS.isdisjoint(value))):
+            and not (_MARKER.search(joined) and not _SPECIALS.isdisjoint(value))
+            and (joined.isascii() or not _SURROGATE.search(joined))):
         return value
-    raise DataError(f"{field} must be a list of non-empty, whitespace-free strings "
+    raise DataError(f"{field} must be a list of non-empty, whitespace-free UTF-8 strings "
                     f"other than {', '.join(SPECIALS)}")
 
 
@@ -331,7 +342,7 @@ def read_pairs(path):
             try:
                 obj = json.loads(line)
                 pairs.append(QCPair(
-                    id=int(obj["id"]), lang=obj["lang"],
+                    id=_json_int(obj, "id"), lang=obj["lang"],
                     code_tokens=token_list(obj["code_tokens"], "code_tokens"),
                     title_tokens=token_list(obj["title_tokens"], "title_tokens")))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,

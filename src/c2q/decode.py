@@ -1,5 +1,6 @@
-"""Beam-search inference from code tokens to question titles; greedy
-decoding is beam search with k=1."""
+"""Beam-search inference from code tokens to question titles. Every live
+hypothesis is one row of a single decoder step; greedy decoding is beam
+search with k=1, one row."""
 
 from __future__ import annotations
 
@@ -8,15 +9,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import LOGPROB_FLOOR, decode_step, encode
-from .vocab import END, START, UNK_TOKEN, decode_ids, encode_source
+from .numerics import Tensor
+from .vocab import END, START, UNK, UNK_TOKEN, decode_ids, encode_source
 
 
 @dataclass
 class Hypothesis:
     token_ids: list            # extended ids emitted so far (no START)
     logprob: float
-    state: object              # decoder (hidden, cell)
-    cov: object                # coverage vector (Tensor) or None
+    state: object              # decoder (hidden, cell) rows
+    cov: object                # coverage row or None
     finished: bool = False
     attn: list = field(default_factory=list)  # one np array per emitted token
 
@@ -31,22 +33,36 @@ class DecodedResult:
 
 
 def _model_stepper(code_tokens, params, vocab, hyper):
+    """(stepper, start state, start coverage, ev). The stepper runs every
+    live hypothesis as one row of a single ``decode_step``."""
     base_ids, ext_ids, ev = encode_source(code_tokens, vocab)
     enc = encode(base_ids, params, hyper)
     vocab_size = len(vocab)
-    cov0 = None
-    if hyper.attention:
-        from .numerics import Tensor
-        cov0 = Tensor(np.zeros(len(base_ids)))
+    cov0 = np.zeros(len(base_ids)) if hyper.attention else None
 
-    def stepper(prev_ext_id, state, cov):
-        prev_base = prev_ext_id if prev_ext_id < vocab_size else 1  # UNK feedback
-        step = decode_step(prev_base, state, enc, cov, ext_ids, ev, params, hyper)
+    def stepper(prev_ext_ids, states, covs):
+        prev = np.array(prev_ext_ids)
+        prev[prev >= vocab_size] = UNK  # extended outputs are fed back as UNK
+        # the parents' rows as fresh leaves, so no graph outlives a step
+        state = tuple(Tensor(np.array(part)) for part in zip(*states))
+        cov = Tensor(np.array(covs)) if hyper.attention else None
+        step = decode_step(prev, state, enc, cov, ext_ids, ev, params, hyper)
         logp = np.log(np.maximum(step.p_star.data.astype(np.float64), LOGPROB_FLOOR))
-        attn = step.a.data.copy() if step.a is not None else None
-        return logp, step.state, step.cov_next, attn
+        none = [None] * len(prev)
+        return (logp, list(zip(step.state[0].data, step.state[1].data)),
+                none if cov is None else list(step.cov_next.data),
+                none if step.a is None else list(step.a.data))
 
-    return stepper, enc.s0, cov0, ev
+    stepper.rows = True
+    return stepper, tuple(t.data for t in enc.s0), cov0, ev
+
+
+def _by_row(stepper):
+    """A row stepper from one that steps a single hypothesis per call."""
+    def step_rows(prevs, states, covs):
+        logps, states, covs, attns = zip(*map(stepper, prevs, states, covs))
+        return np.stack(logps), states, covs, attns
+    return step_rows
 
 
 def _top_k(logp, k):
@@ -67,23 +83,30 @@ def _rank_key(hyp):
 
 
 def _beam(stepper, start_state, start_cov, k, max_len):
+    """Beam search from one start state. A row stepper (``stepper.rows``
+    true) maps the live hypotheses' previous ids, states and coverages, as
+    lists, to (logp rows, states, coverages, attention rows) in one call;
+    any other stepper maps one hypothesis per call."""
+    if not getattr(stepper, "rows", False):
+        stepper = _by_row(stepper)
     live = [Hypothesis([], 0.0, start_state, start_cov)]
     completed = []
     for _ in range(max_len):
         if not live or len(completed) >= k:
             break
+        logp, states, covs, attns = stepper(
+            [hyp.token_ids[-1] if hyp.token_ids else START for hyp in live],
+            [hyp.state for hyp in live], [hyp.cov for hyp in live])
         candidates = []
-        for hyp in live:
-            prev = hyp.token_ids[-1] if hyp.token_ids else START
-            logp, state, cov, attn = stepper(prev, hyp.state, hyp.cov)
-            for tid in _top_k(logp, k):
+        for row, hyp in enumerate(live):
+            for tid in _top_k(logp[row], k):
                 tid = int(tid)
                 candidates.append(Hypothesis(
                     token_ids=hyp.token_ids + [tid],
-                    logprob=hyp.logprob + float(logp[tid]),
-                    state=state, cov=cov,
+                    logprob=hyp.logprob + float(logp[row, tid]),
+                    state=states[row], cov=covs[row],
                     finished=(tid == END),
-                    attn=hyp.attn + [attn]))
+                    attn=hyp.attn + [attns[row]]))
         candidates.sort(key=_rank_key)
         live = []
         for hyp in candidates[:k]:

@@ -213,14 +213,18 @@ def _attention_keys(H, params):
 
 def attention_step(s_t, H, cov, params, mask=None, keys=None):
     """(a_t, c_t): softmax attention over source rows of H and the weighted
-    context. ``cov`` of None means the coverage term is dropped. ``keys``
-    are H·W_ehᵀ as ``encode`` computes them once per source; None
-    recomputes them."""
+    context. ``s_t`` is one decoder state (h,) or a batch of rows (k, h),
+    with ``cov`` (M,) or (k, M) to match. ``cov`` of None means the
+    coverage term is dropped. ``keys`` are H·W_ehᵀ as ``encode`` computes
+    them once per source; None recomputes them."""
     if keys is None:
         keys = _attention_keys(H, params)
-    pre = nm.add(keys, nm.linear(s_t, params["W_sh"], params["b_att"]))
+    query = nm.linear(s_t, params["W_sh"], params["b_att"])
+    if query.data.ndim == 2:  # one (M, a) score block per row
+        query = nm.index(query, (slice(None), None))
+    pre = nm.add(keys, query)
     if cov is not None:
-        pre = nm.add(pre, nm.outer(cov, params["W_cv"]))
+        pre = nm.add(pre, nm.mul(nm.index(cov, (..., None)), params["W_cv"]))
     scores = nm.matmul(nm.tanh(pre), params["v"])
     a = nm.softmax(scores, mask)
     c = nm.matmul(a, H)
@@ -228,15 +232,18 @@ def attention_step(s_t, H, cov, params, mask=None, keys=None):
 
 
 def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask=None):
-    """One decoder timestep; ``y_prev_id`` must be a base-vocab id (feed
-    extended previous outputs back as UNK)."""
+    """One decoder timestep. ``y_prev_id`` is one base-vocab id with (h,)
+    state and (M,) coverage, or k ids with (k, h) state rows and (k, M)
+    coverage rows, all stepped at once; feed extended previous outputs back
+    as UNK."""
     vocab_size = params["E"].data.shape[0]
-    if not 0 <= y_prev_id < vocab_size:
+    ids = np.asarray(y_prev_id)
+    if ids.ndim > 1 or not ids.size or not all(0 <= i < vocab_size for i in ids.flat):
         raise IndexError(f"previous-output id {y_prev_id} outside base vocab")
-    x = nm.index(params["E"], slice(y_prev_id, y_prev_id + 1))
+    x = nm.gather_rows(params["E"], ids[None])  # one LSTM step: (1, d) or (1, k, d)
     out = nm.lstm_seq(x, state[0], state[1], params["dec_W"], params["dec_U"],
                       params["dec_b"])
-    h, c_state = nm.index(out, (0, 0)), nm.index(out, (0, 1))
+    h, c_state = (nm.index(out, (0, ..., k, slice(None))) for k in (0, 1))
 
     if hyper.attention:
         a, ctx = attention_step(h, enc.H, cov if hyper.coverage else None, params, mask,
@@ -245,18 +252,20 @@ def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask=Non
     else:
         a, ctx, cov_next = None, enc.summary, cov
 
-    vocab_dist = nm.softmax(nm.linear(nm.concat([h, ctx]), params["W_v"], params["b_v"]))
+    vocab_dist = nm.softmax(nm.linear(nm.concat([h, ctx], axis=-1), params["W_v"],
+                                      params["b_v"]))
 
     ext_size = len(ev)
     if hyper.copy:
-        p_cg = nm.sigmoid(nm.add_n([nm.dot(params["w_c"], ctx),
-                                    nm.dot(params["w_s"], h),
-                                    nm.dot(params["w_x"], nm.index(x, 0)),
+        p_cg = nm.sigmoid(nm.add_n([nm.dot(ctx, params["w_c"]),
+                                    nm.dot(h, params["w_s"]),
+                                    nm.dot(nm.index(x, 0), params["w_x"]),
                                     params["b_cg"]]))
+        gate = nm.index(p_cg, (slice(None), None)) if ids.ndim else p_cg
         copy_dist = nm.scatter_add(a, ext_ids, ext_size)
         gen_dist = nm.pad_zeros(vocab_dist, ext_size)
-        p_star = nm.add(nm.mul(p_cg, copy_dist),
-                        nm.mul(nm.add(1.0, nm.neg(p_cg)), gen_dist))
+        p_star = nm.add(nm.mul(gate, copy_dist),
+                        nm.mul(nm.add(1.0, nm.neg(gate)), gen_dist))
     else:
         p_cg = None
         p_star = nm.pad_zeros(vocab_dist, ext_size)

@@ -2,9 +2,11 @@
 
 Everything the encoder/decoder needs: linear maps, a whole-sequence LSTM,
 masked softmax, sigmoid/tanh, concatenation, indexing, gather/scatter, and a
-central finite-difference gradient checker. Values are float32 by default; wrap
-gradient checks in ``use_dtype(np.float64)`` for the doubled-precision
-test mode with tighter tolerances.
+central finite-difference gradient checker. The ops a decoder step uses also
+take a batch of rows (leading axes) and work row by row on the last axis.
+Values are float32 by default; wrap gradient checks in
+``use_dtype(np.float64)`` for the doubled-precision test mode with tighter
+tolerances.
 """
 
 from __future__ import annotations
@@ -115,17 +117,18 @@ class Tensor:
                 np.add(parent.grad, g.reshape(parent.data.shape), out=parent.grad)
 
 
-# Gradients that backward defers and folds per tensor: ``outer(left, right)``
-# kept as its two factors, and ``g`` at ``[key]`` with zeros elsewhere.
+# Gradients that backward defers and folds per tensor: ``left.T @ right``
+# kept as its two factors (a vector pair is one row, the outer product), and
+# ``g`` at ``[key]`` with zeros elsewhere.
 _Factors = namedtuple("_Factors", "left right")
 _Rows = namedtuple("_Rows", "key g")
 
 
 def _fold(t, factors, rows):
     """Add deferred gradients into ``t.grad``: the factor pairs as one
-    ``stack(left).T @ stack(right)`` product, then each row update."""
+    ``vstack(left).T @ vstack(right)`` product, then each row update."""
     if factors:
-        prod = np.stack([f.left for f in factors]).T @ np.stack([f.right for f in factors])
+        prod = np.vstack([f.left for f in factors]).T @ np.vstack([f.right for f in factors])
         if t.grad is None:
             t.grad = prod.astype(t.data.dtype, copy=False)
         else:
@@ -210,14 +213,14 @@ def scale(a, s):
 
 
 def add_n(tensors):
-    """Sum a list of same-shaped tensors."""
+    """Sum a list of tensors; later ones may broadcast into the first."""
     ts = [_wrap(t) for t in tensors]
     if not ts:
         raise ValueError("add_n of empty list")
     out = ts[0].data.copy()
     for t in ts[1:]:
         out += t.data
-    return Tensor(out, tuple(ts), lambda g: tuple(g for _ in ts))
+    return Tensor(out, tuple(ts), lambda g: tuple(_unbroadcast(g, t.data.shape) for t in ts))
 
 
 def matmul(a, b):
@@ -229,6 +232,13 @@ def matmul(a, b):
 
         def bw(g):
             return _Factors(g, bd), ad.T @ g
+
+    elif ad.ndim == 3 and bd.ndim == 1:  # a stack of matrices, one vector
+        if ad.shape[2] != bd.shape[0]:
+            raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} not conformable")
+
+        def bw(g):
+            return g[..., None] * bd, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1)
 
     elif ad.ndim == 1 and bd.ndim == 2:
         if ad.shape[0] != bd.shape[0]:
@@ -261,8 +271,19 @@ def dot(a, b):
 
 
 def linear(x, w, b=None):
-    """y = Wx + b."""
-    y = matmul(w, x)
+    """y = Wx + b for a vector x; for rows x (k, in), each row's y = Wx + b
+    as one (k, in)·Wᵀ product. W's gradient is deferred as factors."""
+    x = _wrap(x)
+    if x.data.ndim == 1:
+        y = matmul(w, x)
+    else:
+        xd, wd = x.data, w.data
+        if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+            raise ShapeError(f"linear shapes {xd.shape} and {wd.shape} not conformable")
+        # W·Xᵀ: W as the left operand runs about twice as fast here as X·Wᵀ,
+        # and for one row it is the vector form's matrix-vector product
+        y = Tensor(np.ascontiguousarray((wd @ xd.T).T), (x, w),
+                   lambda g: (g @ wd, _Factors(g, xd)))
     return y if b is None else add(y, b)
 
 
@@ -271,21 +292,18 @@ def transpose(a):
     return Tensor(a.data.T, (a,), lambda g: (g.T,))
 
 
-def outer(a, b):
-    a, b = _wrap(a), _wrap(b)
-    ad, bd = a.data, b.data
-
-    def bw(g):
-        return g @ bd, g.T @ ad
-
-    return Tensor(np.outer(ad, bd), (a, b), bw)
-
-
 def concat(tensors, axis=0):
+    """Join along ``axis``. With ``axis=-1`` the leading axes broadcast, so
+    a vector joins every row of a batch."""
     ts = [_wrap(t) for t in tensors]
-    cuts = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
-    return Tensor(np.concatenate([t.data for t in ts], axis=axis), tuple(ts),
-                  lambda g: tuple(np.split(g, cuts, axis=axis)))
+    parts = [t.data for t in ts]
+    if axis == -1 and len({p.shape[:-1] for p in parts}) > 1:
+        lead = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
+        parts = [np.broadcast_to(p, lead + p.shape[-1:]) for p in parts]
+    cuts = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    return Tensor(np.concatenate(parts, axis=axis), tuple(ts),
+                  lambda g: tuple(_unbroadcast(part, t.data.shape)
+                                  for part, t in zip(np.split(g, cuts, axis=axis), ts)))
 
 
 def index(a, key):
@@ -303,25 +321,25 @@ def gather_rows(m, indices):
 
 
 def scatter_add(values, indices, size):
-    """out[indices[j]] += values[j] over a fresh zero vector of ``size``."""
+    """out[..., indices[j]] += values[..., j] over fresh zero rows of ``size``."""
     values = _wrap(values)
-    idx = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(size, dtype=values.data.dtype)
-    np.add.at(out, idx, values.data)
-    return Tensor(out, (values,), lambda g: (g[idx],))
+    key = (..., np.asarray(indices, dtype=np.int64))
+    out = np.zeros(values.data.shape[:-1] + (size,), dtype=values.data.dtype)
+    np.add.at(out, key, values.data)
+    return Tensor(out, (values,), lambda g: (g[key],))
 
 
 def pad_zeros(v, total):
-    """Extend a vector with zeros up to ``total`` entries."""
+    """Extend each row (last axis) with zeros up to ``total`` entries."""
     v = _wrap(v)
-    n = v.data.shape[0]
+    n = v.data.shape[-1]
     if total < n:
         raise ShapeError(f"cannot pad vector of size {n} to {total}")
     if total == n:
         return v
-    out = np.zeros(total, dtype=v.data.dtype)
-    out[:n] = v.data
-    return Tensor(out, (v,), lambda g: (g[:n],))
+    out = np.zeros(v.data.shape[:-1] + (total,), dtype=v.data.dtype)
+    out[..., :n] = v.data
+    return Tensor(out, (v,), lambda g: (g[..., :n],))
 
 
 # ---------------------------------------------------------------------------
@@ -384,86 +402,96 @@ def sum_all(a):
 
 
 def softmax(v, mask=None):
-    """Probability vector over unmasked positions; max-subtracted for stability.
+    """Probabilities over the last axis, row by row, over unmasked positions;
+    max-subtracted for stability.
 
-    ``mask`` is a boolean array, True = position participates. Masked
-    positions come out exactly 0.
+    ``mask`` is a boolean array of the input's shape or of one row's, True =
+    position participates. Masked positions come out exactly 0.
     """
     v = _wrap(v)
     x = v.data
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
+        if mask.shape not in (x.shape, x.shape[-1:]):
             raise ShapeError(f"mask shape {mask.shape} != input shape {x.shape}")
-        if not mask.any():
+        if not mask.any(axis=-1).all():
             raise ValueError("softmax: all positions masked")
-        m = x[mask].max()
-        ex = np.zeros_like(x)
-        ex[mask] = np.exp(x[mask] - m)
-    else:
-        ex = np.exp(x - x.max())
-    p = (ex / ex.sum()).astype(x.dtype)
+        x = np.where(mask, x, -np.inf)
+    ex = np.exp(x - x.max(axis=-1, keepdims=True))
+    p = (ex / ex.sum(axis=-1, keepdims=True)).astype(v.data.dtype)
 
     def bw(g):
-        inner = (g * p).sum()
-        return ((p * (g - inner)).astype(x.dtype),)
+        inner = (g * p).sum(axis=-1, keepdims=True)
+        return ((p * (g - inner)).astype(p.dtype),)
 
     return Tensor(p, (v,), bw)
 
 
 def lstm_seq(x, h0, c0, w, u, b):
-    """The standard gated LSTM run over the T rows of ``x`` (T, in) from
-    state (``h0``, ``c0``), as one graph node: a (T, 2, H) tensor holding
-    [h, c] after each row.
+    """The standard gated LSTM run over the T steps of ``x`` from state
+    (``h0``, ``c0``), as one graph node. One sequence: ``x`` is (T, in),
+    the state (H,), and the output a (T, 2, H) tensor holding [h, c] after
+    each step. A batch of k sequences stepped together: ``x`` is
+    (T, k, in), the state (k, H), and the output (T, k, 2, H).
 
     ``w`` is (4H, in), ``u`` is (4H, H), ``b`` is (4H,), gate order
-    input / forget / output / candidate. The forward projects all rows of
+    input / forget / output / candidate. The forward projects all steps of
     ``x`` in one product; the hand-written backward runs the recurrence in
     reverse and then gets dx, dW, dU and db in one product or sum each.
     """
     x, h0, c0 = _wrap(x), _wrap(h0), _wrap(c0)
     xd, wd, ud = x.data, w.data, u.data
-    hsize = ud.shape[1]
+    hsize, in_dim = ud.shape[1], wd.shape[1]
     if wd.shape[0] != 4 * hsize or ud.shape[0] != 4 * hsize or b.data.shape != (4 * hsize,):
         raise ShapeError(
             f"lstm weight shapes inconsistent: W {wd.shape}, U {ud.shape}, b {b.data.shape}")
-    if xd.ndim != 2 or xd.shape[1] != wd.shape[1] or h0.shape != (hsize,) or c0.shape != (hsize,):
+    batch = h0.shape[:-1]  # () for one sequence, (k,) for k
+    if (len(batch) > 1 or h0.shape[-1:] != (hsize,) or c0.shape != h0.shape
+            or xd.ndim != 2 + len(batch) or xd.shape[1:] != batch + (in_dim,)):
         raise ShapeError(f"lstm inputs x {xd.shape}, h0 {h0.shape}, c0 {c0.shape} do not fit "
                          f"W {wd.shape}, U {ud.shape}")
-    steps, sig = xd.shape[0], 3 * hsize  # input, forget and output gates are sigmoids
-    act = xd @ wd.T + b.data  # gate pre-activations, then activations in place
-    out = np.empty((steps, 2, hsize), dtype=act.dtype)
-    tc = np.empty((steps, hsize), dtype=act.dtype)  # tanh(c)
-    h, c = h0.data, c0.data
+    steps, rows, sig = xd.shape[0], h0.data.size // hsize, 3 * hsize  # i, f, o are sigmoids
+    # gate pre-activations, then activations in place; one sequence is one row.
+    # The loops index views made once, which is cheaper than slicing per step.
+    act = (xd.reshape(-1, in_dim) @ wd.T + b.data).reshape(steps, rows, 4 * hsize)
+    i, f, o, g = (act[..., k * hsize:(k + 1) * hsize] for k in range(4))
+    ifo = act[..., :sig]
+    out = np.empty((steps, rows, 2, hsize), dtype=act.dtype)
+    h_out, c_out = out[:, :, 0], out[:, :, 1]
+    tc = np.empty((steps, rows, hsize), dtype=act.dtype)  # tanh(c)
+    h, c = h0.data.reshape(rows, hsize), c0.data.reshape(rows, hsize)
     for t in range(steps):
         a = act[t]
-        a += ud @ h
-        a[:sig] = _sigmoid(a[:sig])
-        np.tanh(a[sig:], out=a[sig:])
-        c = out[t, 1] = a[hsize:2 * hsize] * c + a[:hsize] * a[sig:]
+        a += (ud @ h.T).T  # U·hᵀ, as in linear
+        ifo[t] = _sigmoid(ifo[t])
+        np.tanh(g[t], out=g[t])
+        c = c_out[t] = f[t] * c + i[t] * g[t]
         np.tanh(c, out=tc[t])
-        h = out[t, 0] = a[2 * hsize:sig] * tc[t]
+        h = h_out[t] = o[t] * tc[t]
 
     def bw(grad):
-        i, f, o, g = (act[:, k * hsize:(k + 1) * hsize] for k in range(4))
-        c_in = np.concatenate([c0.data[None], out[:-1, 1]])
+        grad = grad.reshape(out.shape)
+        c_in = np.concatenate([c0.data.reshape(1, rows, hsize), c_out[:-1]])
         # dz[t] = [dc, dc, dh, dc] * coef[t], by gate
         coef = np.concatenate([g * i * (1.0 - i), c_in * f * (1.0 - f),
-                               tc * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+                               tc * o * (1.0 - o), i * (1.0 - g * g)], axis=-1)
         dc_dh = o * (1.0 - tc * tc)
         dz = np.empty_like(act)
-        dh, dc = np.zeros(hsize, act.dtype), np.zeros(hsize, act.dtype)
+        coef4, dz4 = coef.reshape(steps, rows, 4, hsize), dz.reshape(steps, rows, 4, hsize)
+        coef_o, dz_o, gh, gc = coef[..., 2 * hsize:sig], dz4[:, :, 2], grad[:, :, 0], grad[:, :, 1]
+        dh, dc = np.zeros((rows, hsize), act.dtype), np.zeros((rows, hsize), act.dtype)
         for t in reversed(range(steps)):
-            dh = grad[t, 0] + dh
-            dc = grad[t, 1] + dc + dh * dc_dh[t]
-            dzt = dz[t].reshape(4, hsize)
-            np.multiply(coef[t].reshape(4, hsize), dc, out=dzt)
-            np.multiply(coef[t, 2 * hsize:sig], dh, out=dzt[2])
+            dh = gh[t] + dh
+            dc = gc[t] + dc + dh * dc_dh[t]
+            np.multiply(coef4[t], dc[:, None], out=dz4[t])
+            np.multiply(coef_o[t], dh, out=dz_o[t])
             dh, dc = dz[t] @ ud, dc * f[t]
-        h_in = np.concatenate([h0.data[None], out[:-1, 0]])
-        return dz @ wd, dh, dc, dz.T @ xd, dz.T @ h_in, dz.sum(axis=0)
+        h_in = np.concatenate([h0.data.reshape(1, rows, hsize), h_out[:-1]])
+        dz = dz.reshape(-1, 4 * hsize)  # backward reshapes dx, dh0, dc0 to their inputs
+        return (dz @ wd, dh, dc, dz.T @ xd.reshape(-1, in_dim), dz.T @ h_in.reshape(-1, hsize),
+                dz.sum(axis=0))
 
-    return Tensor(out, (x, h0, c0, w, u, b), bw)
+    return Tensor(out.reshape(xd.shape[:-1] + (2, hsize)), (x, h0, c0, w, u, b), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ vocabularies so the copy mechanism can emit source-only tokens."""
 from __future__ import annotations
 
 import hashlib
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -50,11 +51,20 @@ class Vocabulary:
         return h.hexdigest()
 
     def save(self, path):
+        """Write ``path`` + ".tmp", then move it into place: a failed write
+        leaves any earlier file untouched."""
         body = self.id_to_token[4:]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{VOCAB_HEADER_PREFIX}{len(body)}\n")
-            for t in body:
-                fh.write(t + "\n")
+        tmp = os.fspath(path) + ".tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(f"{VOCAB_HEADER_PREFIX}{len(body)}\n")
+                for t in body:
+                    fh.write(t + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path):

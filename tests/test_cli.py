@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from c2q import corpus, retrieval
 from c2q.cli import run
 from c2q.train import load_checkpoint
-from c2q.vocab import Vocabulary
+from c2q.vocab import SPECIALS, Vocabulary
 
 TINY = ["--embed-dim", "8", "--hidden", "8", "--max-len", "8"]
 
@@ -335,6 +335,22 @@ def test_build_vocab_rejects_whitespace_token(capsys, tmp_path):
     err = capsys.readouterr().err
     assert len(_error_lines(err)) == 1 and err.startswith("error kind=data")
     assert not out.exists()
+
+
+def test_build_vocab_bad_token_leaves_existing_vocab_intact(capsys, tmp_path):
+    # a lone surrogate cannot be written as UTF-8; the pairs are rejected
+    # before any write, and an earlier vocab file keeps every byte
+    out = tmp_path / "vocab.txt"
+    Vocabulary(list(SPECIALS) + ["a", "b", "c"]).save(str(out))
+    before = out.read_bytes()
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text('{"id": 1, "lang": "python", "code_tokens": ["a", "b", "c", "\\ud800"], '
+                     '"title_tokens": ["how"]}\n')
+    assert run(["build-vocab", "--pairs", str(pairs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(_error_lines(err)) == 1 and err.startswith("error kind=data")
+    assert out.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["pairs.jsonl", "vocab.txt"]  # no temp file left
 
 
 # Reader fuzzing: each reader gets lines of raw bytes, or valid JSON records

@@ -222,6 +222,20 @@ def test_readers_reject_overflowing_numbers(tmp_path, reader, line):
         reader(path)
 
 
+@pytest.mark.parametrize("value", ["1.9", "true", '"1"'], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("reader,template", [
+    (corpus.read_posts, '{"id": %s, "score": 1, ' + _POST + '}'),
+    (corpus.read_posts, '{"id": 1, "score": %s, ' + _POST + '}'),
+    (corpus.read_pairs, '{"id": %s, ' + _PAIR + '}'),
+], ids=["post-id", "post-score", "pair-id"])
+def test_readers_require_json_integers(tmp_path, reader, template, value):
+    # int() would read all three as 1, so distinct records could share an id
+    path = tmp_path / "records.jsonl"
+    path.write_text(template.replace("%s", "7") + "\n" + template.replace("%s", value) + "\n")
+    with pytest.raises(corpus.DataError, match=f"{path}:2:.*integer"):
+        reader(path)
+
+
 @pytest.mark.parametrize("lang", corpus.LANGS)
 def test_tokenize_code_unicode_digits(lang):
     # str.isdigit accepts superscripts and circled digits, \d only decimals

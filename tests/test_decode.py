@@ -1,14 +1,17 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from c2q import decode
-from c2q.decode import (_beam, _top_k, beam_search, greedy_decode,
-                        greedy_decode_full, resolve_unk)
-from c2q.model import ABLATION_PRESETS, Hyperparams, init_parameters
-from c2q.numerics import Rng
-from c2q.vocab import (END, START, UNK_TOKEN, Vocabulary, build_vocab,
+from c2q import numerics as nm
+from c2q.decode import (Hypothesis, _beam, _rank_key, _top_k, beam_search,
+                        greedy_decode, greedy_decode_full, resolve_unk)
+from c2q.model import (ABLATION_PRESETS, LOGPROB_FLOOR, Hyperparams, decode_step,
+                       encode, init_parameters)
+from c2q.numerics import Rng, Tensor
+from c2q.vocab import (END, START, UNK, UNK_TOKEN, Vocabulary, build_vocab,
                        encode_source)
 
 
@@ -22,35 +25,37 @@ def make_setup(seed, vocab_tokens=12, ablation="full"):
 
 
 def forced_stepper(sequence, vocab_size):
-    """A stepper whose p_star is one-hot along ``sequence`` then END."""
+    """A row stepper whose p_star is one-hot along ``sequence`` then END;
+    each row's state is its step index."""
     logp_floor = math.log(1e-12)
 
-    def stepper(prev, state, cov):
-        step_index = state
-        logp = np.full(vocab_size, logp_floor)
-        tid = sequence[step_index] if step_index < len(sequence) else END
-        logp[tid] = 0.0
-        return logp, step_index + 1, cov, None
+    def stepper(prevs, states, covs):
+        logp = np.full((len(states), vocab_size), logp_floor)
+        for row, step_index in enumerate(states):
+            logp[row, sequence[step_index] if step_index < len(sequence) else END] = 0.0
+        return logp, [s + 1 for s in states], covs, [None] * len(states)
 
+    stepper.rows = True
     return stepper
 
 
 class HistoryStepper:
-    """Stepper whose state is the emitted-token history tuple."""
+    """Row stepper whose state is the emitted-token history tuple."""
+
+    rows = True
 
     def __init__(self, table, vocab_size):
         self.table = table
         self.vocab_size = vocab_size
 
-    def __call__(self, prev, state, cov):
-        hist = state or ()
-        if prev != START:
-            hist = hist + (prev,)
-        dist = self.table[hist]
-        logp = np.full(self.vocab_size, math.log(1e-12))
-        for tid, prob in dist.items():
-            logp[tid] = math.log(prob)
-        return logp, hist, cov, None
+    def __call__(self, prevs, states, covs):
+        hists = [(state or ()) + ((prev,) if prev != START else ())
+                 for prev, state in zip(prevs, states)]
+        logp = np.full((len(hists), self.vocab_size), math.log(1e-12))
+        for row, hist in enumerate(hists):
+            for tid, prob in self.table[hist].items():
+                logp[row, tid] = math.log(prob)
+        return logp, hists, covs, [None] * len(hists)
 
 
 def test_beam_empty_input_errors():
@@ -99,9 +104,10 @@ def test_greedy_returns_one_attention_record_per_token(monkeypatch):
     forced = forced_stepper(seq, len(vocab))
 
     def model_stepper(code_tokens, params, vocab, hyper):
-        def stepper(prev, state, cov):
-            logp, next_state, cov, _ = forced(prev, state, cov)
-            return logp, next_state, cov, np.eye(len(code_tokens))[state]
+        def stepper(prevs, states, covs):
+            logp, next_states, covs, _ = forced(prevs, states, covs)
+            return logp, next_states, covs, [np.eye(len(code_tokens))[s] for s in states]
+        stepper.rows = True
         return stepper, 0, None, encode_source(code_tokens, vocab)[2]
 
     monkeypatch.setattr(decode, "_model_stepper", model_stepper)
@@ -210,3 +216,114 @@ def test_no_copy_model_can_only_say_unk_for_oov():
     assert "onlyhere" not in tokens
     resolved = resolve_unk(tokens, attns, ["w4", "onlyhere", "w5"])
     assert UNK_TOKEN not in resolved
+
+
+def _reference_stepper(code_tokens, params, vocab, hyper):
+    """The per-hypothesis model stepper: one single-row decode_step per
+    hypothesis, carrying each hypothesis's graph-built state."""
+    base_ids, ext_ids, ev = encode_source(code_tokens, vocab)
+    enc = encode(base_ids, params, hyper)
+    cov0 = Tensor(np.zeros(len(base_ids))) if hyper.attention else None
+
+    def stepper(prev_ext_id, state, cov):
+        prev_base = prev_ext_id if prev_ext_id < len(vocab) else UNK
+        step = decode_step(prev_base, state, enc, cov, ext_ids, ev, params, hyper)
+        logp = np.log(np.maximum(step.p_star.data.astype(np.float64), LOGPROB_FLOOR))
+        attn = step.a.data.copy() if step.a is not None else None
+        return logp, step.state, step.cov_next, attn
+
+    return stepper, enc.s0, cov0
+
+
+def _reference_beam(stepper, start_state, start_cov, k, max_len):
+    """Beam search stepping one hypothesis per model call."""
+    live = [Hypothesis([], 0.0, start_state, start_cov)]
+    completed = []
+    for _ in range(max_len):
+        if not live or len(completed) >= k:
+            break
+        candidates = []
+        for hyp in live:
+            prev = hyp.token_ids[-1] if hyp.token_ids else START
+            logp, state, cov, attn = stepper(prev, hyp.state, hyp.cov)
+            for tid in _top_k(logp, k):
+                tid = int(tid)
+                candidates.append(Hypothesis(
+                    token_ids=hyp.token_ids + [tid],
+                    logprob=hyp.logprob + float(logp[tid]),
+                    state=state, cov=cov,
+                    finished=(tid == END),
+                    attn=hyp.attn + [attn]))
+        candidates.sort(key=_rank_key)
+        live = []
+        for hyp in candidates[:k]:
+            (completed if hyp.finished else live).append(hyp)
+    pool = completed + live
+    pool.sort(key=lambda h: (-(h.logprob / max(1, len(h.token_ids))), h.token_ids))
+    return pool
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATION_PRESETS))
+def test_batched_beam_matches_per_hypothesis_reference(ablation):
+    # float64, so a k-row product and k matrix-vector products agree to
+    # rounding far below any gap between candidates' log-probabilities
+    with nm.use_dtype(np.float64):
+        for seed in range(3):
+            vocab, hyper, params = make_setup(40 + seed, vocab_tokens=20, ablation=ablation)
+            rng = Rng(seed)
+            source = [vocab.id_to_token[rng.integers(4, len(vocab))]
+                      for _ in range(5)] + ["rare_a", "rare_b"]
+            for k in (1, 2, 5, 10):
+                stepper, s0, cov0 = _reference_stepper(source, params, vocab, hyper)
+                want = _reference_beam(stepper, s0, cov0, k, hyper.max_decode_len)
+                got = beam_search(source, params, vocab, hyper, k=k)
+                assert [r.token_ids for r in got] == [h.token_ids for h in want]
+                for r, h in zip(got, want):
+                    assert r.logprob == pytest.approx(h.logprob, rel=1e-12, abs=0)
+                    for a, b in zip(r.attn, h.attn):
+                        if b is None:
+                            assert a is None
+                        else:
+                            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+class _PrefixStepper:
+    """Row stepper with history states; each row's log-probabilities are a
+    fixed pseudo-random function of its history, and its attention row
+    spells the history out (padded with -1)."""
+
+    rows = True
+
+    def __init__(self, vocab_size, width):
+        self.vocab_size, self.width = vocab_size, width
+
+    def __call__(self, prevs, states, covs):
+        hists = [(state or ()) + ((prev,) if prev != START else ())
+                 for prev, state in zip(prevs, states)]
+        logp = np.empty((len(hists), self.vocab_size))
+        for row, hist in enumerate(hists):
+            seed = zlib.crc32(repr(hist).encode())
+            logp[row] = np.log(np.random.default_rng(seed).dirichlet(np.ones(self.vocab_size)))
+        attns = [np.array(hist + (-1,) * (self.width - len(hist)), dtype=float)
+                 for hist in hists]
+        return logp, hists, covs, attns
+
+
+def test_attention_rows_follow_their_hypothesis(monkeypatch):
+    # resolve_unk reads result.attn[t] as the attention that emitted token t;
+    # gathering a row from the wrong parent would pair it with another prefix
+    vocab, hyper, params = make_setup(0)
+    width = hyper.max_decode_len
+
+    def model_stepper(code_tokens, params, vocab, hyper):
+        return _PrefixStepper(len(vocab), width), None, None, encode_source(code_tokens, vocab)[2]
+
+    monkeypatch.setattr(decode, "_model_stepper", model_stepper)
+    for k in (1, 2, 5):
+        results = beam_search(["w4", "w5"], params, vocab, hyper, k=k)
+        assert len({tuple(r.token_ids) for r in results}) == len(results) >= min(k, 2)
+        for r in results:
+            assert len(r.attn) == len(r.token_ids)
+            for t, attn in enumerate(r.attn):
+                assert list(attn[:t]) == r.token_ids[:t]
+                assert (attn[t:] == -1).all()

@@ -238,6 +238,73 @@ def test_decode_step_no_copy_sums_to_one_on_base():
     assert np.allclose(step.p_star.data[vocab_size:], 0.0)
 
 
+def _row_inputs(hyper, vocab_size, k, seed):
+    rng = Rng(seed)
+    params = init_parameters(hyper, vocab_size, rng)
+    base, ext, oov, _ = _random_example(rng, vocab_size, 5, 3, n_oov=2)
+    ex = make_example(base, ext, oov, [END], vocab_size, params)
+    ids = np.array([rng.integers(0, vocab_size) for _ in range(k)])
+    h, c = (rng.uniform(-1, 1, (k, hyper.hidden)) for _ in range(2))
+    cov = rng.uniform(0, 2, (k, len(base))) if hyper.attention else None
+    return params, base, ex, ids, h, c, cov
+
+
+def _step_arrays(step):
+    return [t.data for t in (*step.state, step.a, step.cov_next, step.p_cg, step.p_star)
+            if t is not None]
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATION_PRESETS))
+def test_decode_step_rows_match_single_row_calls(ablation):
+    # k rows stepped at once equal k one-row calls: to rounding in float64
+    # (a k-row product sums in another order than a matrix-vector one), and
+    # bit for bit for a single row in float32
+    hyper = tiny_hyper(ablation=ablation)
+    for dtype, k in ((np.float64, 4), (np.float32, 1)):
+        with nm.use_dtype(dtype):
+            params, base, ex, ids, h, c, cov = _row_inputs(hyper, 12, k, 21)
+            enc = encode(base, params, hyper)
+
+            def step(y, rows):
+                return _step_arrays(decode_step(
+                    y, (Tensor(h[rows]), Tensor(c[rows])), enc,
+                    None if cov is None else Tensor(cov[rows]), ex.ext_ids, ex.ev,
+                    params, hyper))
+
+            batched = step(ids, slice(None))
+            for r in range(k):
+                for got, want in zip(batched, step(int(ids[r]), r)):
+                    assert got.dtype == want.dtype == dtype
+                    if dtype is np.float64:
+                        np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=1e-15)
+                    else:
+                        assert np.array_equal(got[r], want)
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATION_PRESETS))
+def test_decode_step_rows_gradients(ablation):
+    hyper = Hyperparams(embed_dim=3, hidden=3, ablation=ABLATION_PRESETS[ablation])
+    with nm.use_dtype(np.float64):
+        params, base, ex, ids, h, c, cov = _row_inputs(hyper, 9, 2, 23)
+        h, c = Tensor(h), Tensor(c)
+        cov = None if cov is None else Tensor(cov)
+        rng = Rng(24)
+        probe = Tensor(rng.uniform(-1, 1, (2, len(ex.ev))))
+        cov_probe = Tensor(rng.uniform(-1, 1, (2, len(base))))
+
+        def f():
+            step = decode_step(ids, (h, c), encode(base, params, hyper), cov,
+                               ex.ext_ids, ex.ev, params, hyper)
+            total = nm.sum_all(nm.mul(step.p_star, probe))
+            if step.cov_next is not None:
+                total = nm.add(total, nm.sum_all(nm.mul(step.cov_next, cov_probe)))
+            return total
+
+        leaves = [h, c] + ([] if cov is None else [cov])
+        err = nm.finite_diff_check(f, list(params.values()) + leaves, epsilon=1e-5)
+    assert err < 1e-3, f"{ablation}: max relative gradient error {err}"
+
+
 def test_basic_model_uniform_loss_is_log_vocab():
     # zero parameters + basic ablation => softmax over V is uniform, so the
     # per-token NLL is ln V

@@ -269,3 +269,82 @@ def test_minimum_subgradient():
     nm.sum_all(nm.minimum(a, b)).backward()
     assert np.allclose(a.grad, [1.0, 0.0])
     assert np.allclose(b.grad, [0.0, 1.0])
+
+
+def test_lstm_seq_batch_matches_separate_sequences_and_finite_differences():
+    # k = 2 sequences stepped together: each output row equals its own
+    # one-sequence run, and the batched backward passes the gradient check
+    h, steps, k = 3, 3, 2
+    rng = Rng(31)
+    with nm.use_dtype(np.float64):
+        w = Tensor(rng.uniform(-0.3, 0.3, (4 * h, 2)))
+        u = Tensor(rng.uniform(-0.3, 0.3, (4 * h, h)))
+        b = Tensor(rng.uniform(-0.3, 0.3, 4 * h))
+        x = Tensor(rng.uniform(-1, 1, (steps, k, 2)))
+        hp = Tensor(rng.uniform(-1, 1, (k, h)))
+        cp = Tensor(rng.uniform(-1, 1, (k, h)))
+        probe = Tensor(rng.uniform(-1, 1, (steps, k, 2, h)))
+        out = nm.lstm_seq(x, hp, cp, w, u, b)
+        assert out.shape == (steps, k, 2, h)
+        for row in range(k):
+            alone = nm.lstm_seq(Tensor(x.data[:, row]), Tensor(hp.data[row]),
+                                Tensor(cp.data[row]), w, u, b)
+            np.testing.assert_allclose(out.data[:, row], alone.data, rtol=1e-12, atol=1e-15)
+
+        def f():
+            return nm.sum_all(nm.mul(nm.lstm_seq(x, hp, cp, w, u, b), probe))
+
+        err = nm.finite_diff_check(f, [x, hp, cp, w, u, b], epsilon=1e-5)
+    assert err < 1e-3
+
+
+def test_lstm_seq_rejects_mismatched_batch():
+    h = 2
+    w, u, b = Tensor(np.zeros((4 * h, 3))), Tensor(np.zeros((4 * h, h))), Tensor(np.zeros(4 * h))
+    for x, s in (((2, 3, 3), (2, h)), ((2, 2, 3), (h,)), ((2, 3), (2, h))):
+        with pytest.raises(nm.ShapeError):
+            nm.lstm_seq(Tensor(np.zeros(x)), Tensor(np.zeros(s)), Tensor(np.zeros(s)), w, u, b)
+
+
+def test_row_ops_match_per_row_ops_and_fold_weight_factors():
+    # linear, masked softmax, scatter_add, pad_zeros and a broadcasting
+    # concat on k rows give each row's one-vector result, and the rows'
+    # gradients, W's folded from factors, match finite differences
+    rng = Rng(41)
+    with nm.use_dtype(np.float64):
+        W = Tensor(rng.uniform(-1, 1, (4, 3)))
+        bias = Tensor(rng.uniform(-1, 1, 4))
+        X = Tensor(rng.uniform(-1, 1, (2, 3)))
+        v = Tensor(rng.uniform(-1, 1, 2))
+        probe = Tensor(rng.uniform(-1, 1, (2, 8)))
+        mask = np.array([True, False, True, True])
+        idx = [3, 0, 3, 1]
+
+        def rows():
+            y = nm.softmax(nm.linear(X, W, bias), mask)
+            joined = nm.concat([nm.scatter_add(y, idx, 5), v], axis=-1)
+            return nm.pad_zeros(joined, 8)
+
+        out = rows()
+        for r in range(2):
+            y = nm.softmax(nm.linear(Tensor(X.data[r]), W, bias), mask)
+            one = nm.pad_zeros(nm.concat([nm.scatter_add(y, idx, 5), v]), 8)
+            np.testing.assert_allclose(out.data[r], one.data, rtol=1e-12, atol=0)
+        # 0 receives only the masked position; no position scatters to 2
+        assert (out.data[:, [0, 2]] == 0).all()
+
+        def f():
+            return nm.sum_all(nm.mul(rows(), probe))
+
+        err = nm.finite_diff_check(f, [W, bias, X, v], epsilon=1e-6)
+        # W's gradient from the row form reaches backward as a factor pair
+        y = nm.linear(X, W)
+        assert isinstance(y._backward(np.ones(y.shape))[1], nm._Factors)
+    assert err < 1e-5
+
+
+def test_softmax_rows_reject_fully_masked_row():
+    with pytest.raises(ValueError):
+        nm.softmax(Tensor(np.zeros((2, 2))), mask=[[True, False], [False, False]])
+    with pytest.raises(nm.ShapeError):
+        nm.softmax(Tensor(np.zeros((2, 3))), mask=[True, False])

@@ -185,3 +185,13 @@ def test_vocab_roundtrip_over_accepted_tokens(code, title, min_freq):
     copyable = set(loaded.id_to_token) | set(ev.oov_tokens)
     assert decode_ids(encode_target(title, loaded, ev), loaded, ev) == \
         [t if t in copyable else "<unk>" for t in title]
+
+
+def test_failed_save_keeps_earlier_file(tmp_path):
+    path = tmp_path / "vocab.txt"
+    Vocabulary(list(SPECIALS) + ["a"]).save(str(path))
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        Vocabulary(list(SPECIALS) + ["a", "b", "\ud800"]).save(str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["vocab.txt"]
