@@ -86,7 +86,10 @@ def _apply_config(subparser, path):
         if action.dest in values and action.dest != "config":
             conv = action.type or str
             try:
-                defaults[action.dest] = conv(values[action.dest])
+                value = conv(values[action.dest])
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"invalid choice {value!r}")
+                defaults[action.dest] = value
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise DataError(f"config key {action.dest}: {exc}") from exc
     subparser.set_defaults(**defaults)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -26,29 +27,40 @@ class TfidfIndex:
     j occurs in rows[a:b] with weights[a:b], where a, b = indptr[j:j + 2]."""
 
     def __init__(self, docs):
-        """``docs`` is a list of (id, code_tokens, title_tokens)."""
+        """``docs`` is a list of (id, code_tokens, title_tokens). Rows are in
+        id order; documents with equal ids keep their given order."""
         if not docs:
             raise ValueError("TfidfIndex: no documents")
-        self.n_docs = len(docs)
-        df = Counter()
-        for _, code, _ in docs:
-            df.update(set(code))
-        self.idf = {t: math.log((self.n_docs + 1) / (c + 1)) + 1.0 for t, c in df.items()}
-        self.term_ids = {t: j for j, t in enumerate(self.idf)}
-        docs = sorted(docs, key=lambda doc: doc[0])  # row order is id order
+        docs = sorted(docs, key=lambda doc: doc[0])
+        self.n_docs = n = len(docs)
         self.doc_ids = [doc_id for doc_id, _, _ in docs]
-        self.titles = {doc_id: title for doc_id, _, title in docs}
-        vecs = [self._vectorize(code) for _, code, _ in docs]
-        terms = np.fromiter((self.term_ids[t] for v in vecs for t in v), np.intp)
-        order = np.argsort(terms, kind="stable")
-        self.rows = np.repeat(np.arange(len(vecs)), [len(v) for v in vecs])[order]
-        self.weights = np.fromiter((w for v in vecs for w in v.values()), np.float64)[order]
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(terms, minlength=len(self.idf)))))
+        self.titles = [title for _, _, title in docs]
+        codes = [code for _, code, _ in docs]
+        self.term_ids = {t: j for j, t in enumerate(dict.fromkeys(chain.from_iterable(codes)))}
+        n_terms = len(self.term_ids)
+        lengths = np.fromiter(map(len, codes), np.intp, n)
+        terms = np.fromiter(map(self.term_ids.__getitem__, chain.from_iterable(codes)),
+                            np.intp, int(lengths.sum()))
+        # one entry per (term, row) pair, in postings order (by term, then row):
+        # its term frequency and the position of its first occurrence
+        keys, first, tf = np.unique(terms * n + np.repeat(np.arange(n), lengths),
+                                    return_index=True, return_counts=True)
+        term, row = np.divmod(keys, n)
+        df = np.bincount(term, minlength=n_terms)
+        self.idf = {t: math.log((n + 1) / (c + 1)) + 1.0
+                    for t, c in zip(self.term_ids, df.tolist())}
+        w = tf * np.fromiter(self.idf.values(), np.float64, n_terms)[term]
+        self.rows = row
+        self.weights = w / np.sqrt(_row_sums(w * w, row, first, n))[row]
+        self.indptr = np.concatenate(([0], np.cumsum(df)))
 
     def _vectorize(self, tokens):
         tf = Counter(t for t in tokens if t in self.idf)
         vec = {t: c * self.idf[t] for t, c in tf.items()}
-        norm = math.sqrt(sum(w * w for w in vec.values()))
+        norm = 0.0
+        for w in vec.values():  # left to right, as _row_sums; sum() compensates on 3.12+
+            norm += w * w
+        norm = math.sqrt(norm)
         return {t: w / norm for t, w in vec.items()}
 
     def query(self, tokens):
@@ -62,7 +74,21 @@ class TfidfIndex:
             scores[self.rows[s]] += w * self.weights[s]
         best = int(np.argmax(scores))  # the first of equal scores: the lowest id
         return RetrievedTitle(matched=True, doc_id=self.doc_ids[best],
-                              title=self.titles[self.doc_ids[best]], score=float(scores[best]))
+                              title=self.titles[best], score=float(scores[best]))
+
+
+def _row_sums(values, rows, order, n_rows):
+    """Per row, the sum of its ``values`` added left to right in ascending
+    ``order``, as a Python loop would: step k adds the k-th value of every
+    row that has more than k."""
+    counts = np.bincount(rows, minlength=n_rows)
+    starts = np.cumsum(counts) - counts
+    values = values[np.argsort(order)]  # grouped by row, each row in order
+    sums = np.zeros(n_rows)
+    for k in range(counts.max(initial=0)):
+        live = np.flatnonzero(counts > k)
+        sums[live] += values[starts[live] + k]
+    return sums
 
 
 def ir_baseline(query_code_tokens, index):

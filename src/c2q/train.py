@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -200,9 +199,9 @@ def save_checkpoint(params, hyper, vocab_hash, path):
                          "manifest": manifest}).encode("utf-8")
     payload = (CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
                + struct.pack("<I", len(header)) + header + b"".join(blobs))
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
+    tmp = os.fspath(path) + ".tmp"
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:

@@ -185,6 +185,7 @@ def _train_corpus(pairs, hyper, config, min_freq=0):
     return vocab, examples, params, log
 
 
+@pytest.mark.slow
 def test_criterion_3_memorization():
     with criterion(3, "memorization", 300):
         pairs = _memorization_corpus()
@@ -219,6 +220,7 @@ def _sentinel_corpus():
     return pairs
 
 
+@pytest.mark.slow
 def test_criterion_4_copy_efficacy():
     with criterion(4, "copy-mechanism efficacy", 300):
         pairs = _sentinel_corpus()
@@ -271,6 +273,7 @@ def _repeated_trigrams(seqs):
     return total
 
 
+@pytest.mark.slow
 def test_criterion_5_coverage_efficacy():
     with criterion(5, "coverage efficacy", 300):
         pairs = _stress_corpus()

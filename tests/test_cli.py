@@ -301,6 +301,17 @@ def test_count_below_one_in_config_is_data_error(workdir, capsys, tmp_path):
     assert _error_lines(capsys.readouterr().err)[0].startswith("error kind=data")
 
 
+def test_choice_outside_its_choices_in_config_is_data_error(workdir, capsys, tmp_path):
+    cfg = tmp_path / "c2q.cfg"
+    cfg.write_text("ablation = zzz\n")
+    ckpt = tmp_path / "model.ckpt"
+    assert run(["train", "--config", str(cfg), "--train-pairs", workdir["train"],
+                "--vocab", workdir["vocab"], "--checkpoint", str(ckpt)] + TINY) == 2
+    err = capsys.readouterr().err
+    assert len(_error_lines(err)) == 1 and err.startswith("error kind=data")
+    assert "ablation" in err and not ckpt.exists()
+
+
 @pytest.mark.parametrize("line", [
     '"my code here"',
     '[1, 2]',
@@ -397,6 +408,11 @@ def test_readers_exit_cleanly_on_arbitrary_input(workdir, fuzzdir, case):
             "pairs": ["build-vocab", "--pairs", path, "--out", str(fuzzdir / "vocab.txt")],
             "snippets": ["retrieve", "--train-pairs", workdir["train"],
                          "--vocab", workdir["vocab"], "--input", path]}[reader]
+    _assert_clean_exit(argv)
+
+
+def _assert_clean_exit(argv):
+    """Exit 0 with nothing on stderr, or exit 1 or 2 with one error line."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(argv)
@@ -406,3 +422,55 @@ def test_readers_exit_cleanly_on_arbitrary_input(workdir, fuzzdir, case):
     else:
         assert code in (1, 2)
         assert err.count("\n") == 1 and err.startswith("error kind=")
+
+
+# Vocab and config fuzzing: raw bytes, or files shaped like the real thing.
+# Config lines use the command's own keys with small or malformed values, so
+# no value asks for a large allocation (every number has at most 4 digits).
+CONFIG_KEYS = {"ir-baseline": ["seed"],
+               "dedup": ["seed", "delta", "embed_dim", "raw_embeddings", "checkpoint"],
+               "retrieve": ["seed", "top", "lang", "embed_dim", "checkpoint"]}
+CONFIG_VALUE = st.one_of(st.sampled_from(["", "0", "-1", "3", "0.5", "nan", "inf", "1e3",
+                                          "python", "java", "zzz", "."]),
+                         st.text(max_size=4))
+
+
+def _config_file(command):
+    # never "out": a config must not send ir-baseline's report into the tree
+    key = st.one_of(st.sampled_from(CONFIG_KEYS[command] + ["config"]),
+                    st.text(max_size=3).filter(lambda k: k.strip() != "out"))
+    line = st.one_of(st.tuples(key, CONFIG_VALUE).map(lambda kv: f"{kv[0]} = {kv[1]}".encode()),
+                     st.binary(max_size=20))
+    return st.tuples(st.just(command), st.lists(line, max_size=4).map(b"\n".join))
+
+
+VOCAB_FILE = st.one_of(
+    st.binary(max_size=40),
+    st.tuples(st.lists(st.one_of(st.sampled_from(list(SPECIALS) + ["x", "=", "y"]),
+                                 st.text(max_size=3)), max_size=6),
+              st.integers(0, 1)).map(
+        lambda tc: (f"C2Q-VOCAB v1 count={len(tc[0]) + tc[1]}\n"
+                    + "".join(t + "\n" for t in tc[0])).encode("utf-8", "surrogatepass")))
+
+
+@settings(max_examples=150)
+@given(case=st.one_of(st.tuples(st.just("vocab"), VOCAB_FILE),
+                      *(_config_file(command) for command in sorted(CONFIG_KEYS))))
+def test_vocab_and_config_files_exit_cleanly_on_arbitrary_input(workdir, fuzzdir, case):
+    kind, data = case
+    path = str(fuzzdir / "input.txt")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    snippets = str(fuzzdir / "query.jsonl")
+    with open(snippets, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"code_tokens": ["x", "=", "y"]}) + "\n")
+    retrieve = ["retrieve", "--train-pairs", workdir["train"], "--input", snippets]
+    argv = {"vocab": retrieve + ["--vocab", path],
+            "ir-baseline": ["ir-baseline", "--train-pairs", workdir["train"],
+                            "--test-pairs", workdir["test"]],
+            "dedup": ["dedup", "--train-pairs", workdir["train"],
+                      "--test-pairs", workdir["test"], "--vocab", workdir["vocab"],
+                      "--out-pairs", str(fuzzdir / "clean.jsonl"),
+                      "--report", str(fuzzdir / "report.json")],
+            "retrieve": retrieve + ["--vocab", workdir["vocab"]]}[kind]
+    _assert_clean_exit(argv + (["--config", path] if kind != "vocab" else []))

@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2q.metrics import (bleu, lcs_length, rouge_l, rouge_n, score_report,
                          sentence_bleu_smoothed)
@@ -124,3 +126,23 @@ def test_scores_in_unit_interval():
 def test_mismatched_corpus_sizes_error():
     with pytest.raises(ValueError):
         bleu([["a"]], [])
+
+
+TITLES = st.lists(st.sampled_from(["a", "b", "c", "d", "<unk>"]), max_size=8)
+
+
+@settings(max_examples=300)
+@given(pairs=st.lists(st.tuples(TITLES, TITLES), min_size=1, max_size=6))
+def test_every_score_in_unit_interval(pairs):
+    cands, refs = map(list, zip(*pairs))
+    report = score_report(cands, refs)
+    scores = [report[f"bleu{n}"] for n in range(1, 5)]
+    scores += [v for key in ("rouge1", "rouge2", "rougeL") for v in report[key].values()]
+    assert all(0.0 <= v <= 1.0 for v in scores), report
+
+
+@settings(max_examples=200)
+@given(refs=st.lists(TITLES, min_size=1, max_size=6), n=st.integers(1, 4))
+def test_bleu_is_one_on_identical_titles(refs, n):
+    refs = [r for r in refs if len(r) >= n] or [["a"] * n]
+    assert bleu([list(r) for r in refs], refs, n) == 1.0

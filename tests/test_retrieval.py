@@ -263,3 +263,49 @@ def test_corpus_similarities_equal_numpy_norm_bitwise():
     q = CodeEmbedding(rng.uniform(-1, 1, 37).astype(np.float64), zero=False)
     sims = EmbeddedCorpus([], M).similarities(q)
     assert np.array_equal(sims, 1.0 - np.linalg.norm(M - q.vector, axis=1))
+
+
+def test_duplicate_ids_keep_their_own_titles():
+    index = TfidfIndex([(5, ["a", "b"], ["first"]), (5, ["c", "d"], ["second"])])
+    assert index.query(["a", "b"]).title == ["first"]
+    assert index.query(["c", "d"]).title == ["second"]
+
+
+def _assert_postings_match_vectorize(index, docs):
+    """Every posting weight equals _vectorize of its document, bit for bit,
+    and each term's rows are exactly the documents holding it, ascending."""
+    assert index.indptr[-1] == len(index.rows) == len(index.weights)
+    vecs = [index._vectorize(code) for _, code, _ in sorted(docs, key=lambda d: d[0])]
+    for t, j in index.term_ids.items():
+        a, b = index.indptr[j], index.indptr[j + 1]
+        rows = index.rows[a:b].tolist()
+        assert rows == [r for r, vec in enumerate(vecs) if t in vec], t
+        assert index.weights[a:b].tolist() == [vecs[r][t] for r in rows], t
+    assert sum(map(len, vecs)) == len(index.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=st.lists(st.tuples(st.integers(-3, 3),
+                               st.lists(st.sampled_from("abcdefghijklmnopqrst"), max_size=40),
+                               st.just(["t"])), min_size=1, max_size=12))
+def test_postings_equal_vectorize(docs):
+    _assert_postings_match_vectorize(TfidfIndex(docs), docs)
+
+
+def _zipf_docs(n_docs, length, pool, seed):
+    p = 1.0 / np.arange(1, pool + 1)
+    tokens = np.random.default_rng(seed).choice(pool, size=(n_docs, length), p=p / p.sum())
+    return [(i, [f"w{t}" for t in row], [f"t{i}"]) for i, row in enumerate(tokens.tolist())]
+
+
+@pytest.mark.parametrize("docs", [
+    [(1, [], ["t1"]), (2, [], ["t2"])],
+    [(1, ["x"] * 50, ["t1"]), (2, ["x", "y"], ["t2"])],
+    [(9 - i, list("abcdefghij"[i:] + "abcdefghij"[:i]) * (i + 1), [f"t{i}"])
+     for i in range(10)],
+    _zipf_docs(200, 60, 400, seed=3),
+], ids=["empty", "one-token", "descending-ids", "zipf"])
+def test_postings_equal_vectorize_cases(docs):
+    index = TfidfIndex(docs)
+    _assert_postings_match_vectorize(index, docs)
+    assert index.query(["zzz"]).matched is False

@@ -1,4 +1,8 @@
+import errno
+import io
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c2q import train as train_module
 from c2q.corpus import QCPair
 from c2q.model import (ABLATION_PRESETS, Hyperparams, Parameters,
                        encode_example, init_parameters, sequence_loss)
@@ -125,6 +130,41 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, seed):
     for name in params.names():
         assert loaded[name].data.dtype == np.float32
         assert np.array_equal(loaded[name].data, params[name].data), name
+
+
+def test_checkpoint_gets_the_mode_of_a_plain_open(tmp_path):
+    hyper, params = random_params(0)
+    old = os.umask(0o022)
+    try:
+        save_checkpoint(params, hyper, "h", str(tmp_path / "model.ckpt"))
+        with open(tmp_path / "plain", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in ("model.ckpt", "plain")}
+    assert modes == {"model.ckpt": 0o644, "plain": 0o644}
+
+
+class _FullDisk(io.FileIO):
+    """A file that takes half of a write, then fails as a full disk does."""
+
+    def write(self, data):
+        super().write(bytes(data)[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_checkpoint_save_keeps_earlier_file(tmp_path, monkeypatch):
+    hyper, params = random_params(5)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, hyper, "h", str(path))
+    before = path.read_bytes()
+    monkeypatch.setattr(train_module, "open", lambda p, mode: _FullDisk(p, "w"),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(random_params(6)[1], hyper, "h2", str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
 def test_checkpoint_bad_magic(tmp_path):
