@@ -1,9 +1,9 @@
 """Command-line pipeline: preprocess, build-vocab, train, generate,
 evaluate, ir-baseline, dedup, retrieve.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error. Errors print a
-single machine-parseable line to stderr. A flat key=value config file can
-seed any flag; command-line flags win.
+Exit codes: 0 success, 1 usage error, 2 data/format error or out of
+memory. Errors print a single machine-parseable line to stderr. A flat
+key=value config file can seed any flag; command-line flags win.
 """
 
 from __future__ import annotations
@@ -60,6 +60,17 @@ def _amount(text):
     return _at_least(0.0, float(text))
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _boolean(text):
+    """Config value of an on/off flag such as ``--greedy``."""
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected true/false, yes/no or 1/0, got {text!r}") from None
+
+
 def _read_config(path):
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -84,7 +95,7 @@ def _apply_config(subparser, path):
     defaults = {}
     for action in subparser._actions:
         if action.dest in values and action.dest != "config":
-            conv = action.type or str
+            conv = _boolean if action.nargs == 0 else action.type or str
             try:
                 value = conv(values[action.dest])
                 if action.choices is not None and value not in action.choices:
@@ -425,6 +436,9 @@ def run(argv):
     except (DataError, VocabFormatError, CheckpointError,
             TrainingDivergedError, OSError, IndexError, ValueError) as exc:
         _fail("data", str(exc))
+        return EXIT_DATA
+    except MemoryError as exc:  # e.g. a dimension flag far beyond this machine
+        _fail("memory", str(exc) or "out of memory")
         return EXIT_DATA
 
 

@@ -173,38 +173,67 @@ class EncodedExample:
     title_tokens: list = field(default_factory=list)
 
 
-def _bilstm(x, params, layer, zeros):
-    """(T, 2h) rows [h_fw; h_bw], and the two directions' (T, 2, h) outputs
-    in source order. The backward direction runs on the reversed rows."""
+def _bilstm(x, params, layer, zeros, sizes, rev):
+    """The two directions' (N, 2, h) outputs over the packed rows ``x``:
+    forward in source order, and backward over each sequence reversed (the
+    packed-row permutation ``rev``, its own inverse), in that order."""
     def run(dirn, seq):
         return nm.lstm_seq(seq, zeros, zeros, *(params[f"enc_l{layer}_{dirn}_{n}"]
-                                                for n in "WUb"))
+                                                for n in "WUb"), sizes=sizes)
 
-    rev = slice(None, None, -1)
-    fw = run("fw", x)
-    bw = nm.index(run("bw", nm.index(x, rev)), rev)
-    hs = (slice(None), 0)
-    return nm.concat([nm.index(fw, hs), nm.index(bw, hs)], axis=1), fw, bw
+    return run("fw", x), run("bw", nm.gather_rows(x, rev))
 
 
-def encode(base_ids, params, hyper):
-    """EncoderOutput for one source id sequence."""
-    if not base_ids:
+def _hidden(out):
+    return nm.index(out, (slice(None), 0))
+
+
+def encode_batch(sources, params, hyper):
+    """One EncoderOutput per source id sequence. The sources run through
+    each encoder LSTM as one packed batch: longest first, time-major, so
+    step t holds the rows of every source longer than t."""
+    if not sources or not all(len(ids) for ids in sources):
         raise ValueError("encode: empty input")
     vocab_size = params["E"].data.shape[0]
-    for idx in base_ids:
-        if not 0 <= idx < vocab_size:
-            raise IndexError(f"source id {idx} out of vocab range [0, {vocab_size})")
-    zeros = Tensor(np.zeros(hyper.hidden))
-    l1_out, _, _ = _bilstm(nm.gather_rows(params["E"], base_ids), params, 1, zeros)
-    H, fw, bw = _bilstm(l1_out, params, 2, zeros)
-    # [fw; bw] final states: fw after the last row, bw after the first
-    summary_h, summary_c = (nm.concat([nm.index(fw, (-1, k)), nm.index(bw, (0, k))])
+    for ids in sources:
+        for idx in ids:
+            if not 0 <= idx < vocab_size:
+                raise IndexError(f"source id {idx} out of vocab range [0, {vocab_size})")
+    order = sorted(range(len(sources)), key=lambda j: -len(sources[j]))
+    lengths = np.array([len(sources[j]) for j in order])
+    sizes = (lengths > np.arange(lengths[0])[:, None]).sum(axis=1).tolist()
+    starts = np.cumsum(sizes) - sizes
+    rows = [starts[:n] + j for j, n in enumerate(lengths)]  # each source's packed rows
+    ids, rev = np.empty(sum(sizes), dtype=np.int64), np.empty(sum(sizes), dtype=np.int64)
+    for j, r in zip(order, rows):
+        ids[r], rev[r] = sources[j], r[::-1]
+    zeros = Tensor(np.zeros((len(sources), hyper.hidden)))
+    fw, bw = _bilstm(nm.gather_rows(params["E"], ids), params, 1, zeros, sizes, rev)
+    l1_out = nm.concat([_hidden(fw), nm.gather_rows(_hidden(bw), rev)], axis=1)
+    fw, bw = _bilstm(l1_out, params, 2, zeros, sizes, rev)
+    # H holds each source's rows in order, one source after another
+    by_source = np.concatenate(rows)
+    H = nm.concat([nm.gather_rows(_hidden(fw), by_source),
+                   nm.gather_rows(_hidden(bw), rev[by_source])], axis=1)
+    # [fw; bw] final states: both sit at each source's last packed row
+    final = [nm.gather_rows(out, [r[-1] for r in rows]) for out in (fw, bw)]
+    summary_h, summary_c = (nm.concat([nm.index(f, (slice(None), k)) for f in final], axis=-1)
                             for k in (0, 1))
     s0_h = nm.tanh(nm.linear(summary_h, params["W_b"], params["b_b"]))
     s0_c = nm.tanh(nm.linear(summary_c, params["W_b"], params["b_b"]))
     keys = _attention_keys(H, params) if hyper.attention else None
-    return EncoderOutput(H=H, s0=(s0_h, s0_c), summary=summary_h, keys=keys)
+    encs, ends = [None] * len(sources), np.cumsum(lengths)
+    for j, (src, end) in enumerate(zip(order, ends)):
+        own = slice(end - lengths[j], end)
+        encs[src] = EncoderOutput(H=nm.index(H, own), s0=(nm.index(s0_h, j), nm.index(s0_c, j)),
+                                  summary=nm.index(summary_h, j),
+                                  keys=None if keys is None else nm.index(keys, own))
+    return encs
+
+
+def encode(base_ids, params, hyper):
+    """EncoderOutput for one source id sequence: a batch of one."""
+    return encode_batch([base_ids], params, hyper)[0]
 
 
 def _attention_keys(H, params):
@@ -231,11 +260,14 @@ def attention_step(s_t, H, cov, params, mask=None, keys=None):
     return a, c
 
 
-def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask=None):
+def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask=None,
+                output=True):
     """One decoder timestep. ``y_prev_id`` is one base-vocab id with (h,)
     state and (M,) coverage, or k ids with (k, h) state rows and (k, M)
     coverage rows, all stepped at once; feed extended previous outputs back
-    as UNK."""
+    as UNK. With ``output=False`` the step leaves out the output
+    distribution (``p_cg`` and ``p_star`` are None): ``sequence_loss``
+    projects all of a title's steps at once instead."""
     vocab_size = params["E"].data.shape[0]
     ids = np.asarray(y_prev_id)
     if ids.ndim > 1 or not ids.size or not all(0 <= i < vocab_size for i in ids.flat):
@@ -252,39 +284,49 @@ def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask=Non
     else:
         a, ctx, cov_next = None, enc.summary, cov
 
-    vocab_dist = nm.softmax(nm.linear(nm.concat([h, ctx], axis=-1), params["W_v"],
-                                      params["b_v"]))
-
-    ext_size = len(ev)
-    if hyper.copy:
-        p_cg = nm.sigmoid(nm.add_n([nm.dot(ctx, params["w_c"]),
-                                    nm.dot(h, params["w_s"]),
-                                    nm.dot(nm.index(x, 0), params["w_x"]),
-                                    params["b_cg"]]))
-        gate = nm.index(p_cg, (slice(None), None)) if ids.ndim else p_cg
-        copy_dist = nm.scatter_add(a, ext_ids, ext_size)
-        gen_dist = nm.pad_zeros(vocab_dist, ext_size)
-        p_star = nm.add(nm.mul(gate, copy_dist),
-                        nm.mul(nm.add(1.0, nm.neg(gate)), gen_dist))
-    else:
-        p_cg = None
-        p_star = nm.pad_zeros(vocab_dist, ext_size)
-
+    p_cg, p_star = None, None
+    if output:
+        x_in = nm.index(x, 0) if hyper.copy else None
+        p_cg, p_star = _output_dist(h, ctx, x_in, a, ext_ids, len(ev), params, hyper)
     return DecoderStep(state=(h, c_state), a=a, cov=cov, cov_next=cov_next,
                        context=ctx, p_cg=p_cg, p_star=p_star)
+
+
+def _output_dist(h, ctx, x, a, ext_ids, ext_size, params, hyper):
+    """(copy gate, distribution over the extended vocabulary) of decoder
+    states ``h`` with contexts ``ctx``, input embeddings ``x`` and
+    attention ``a``: one of each, or one row per step or hypothesis."""
+    vocab_dist = nm.softmax(nm.linear(nm.concat([h, ctx], axis=-1), params["W_v"],
+                                      params["b_v"]))
+    if not hyper.copy:
+        return None, nm.pad_zeros(vocab_dist, ext_size)
+    p_cg = nm.sigmoid(nm.add_n([nm.dot(ctx, params["w_c"]), nm.dot(h, params["w_s"]),
+                                nm.dot(x, params["w_x"]), params["b_cg"]]))
+    gate = nm.index(p_cg, (slice(None), None)) if p_cg.data.ndim else p_cg
+    copy_dist = nm.scatter_add(a, ext_ids, ext_size)
+    gen_dist = nm.pad_zeros(vocab_dist, ext_size)
+    return p_cg, nm.add(nm.mul(gate, copy_dist), nm.mul(nm.add(1.0, nm.neg(gate)), gen_dist))
 
 
 def _to_base(idx, vocab_size):
     return idx if idx < vocab_size else UNK
 
 
-def sequence_loss(example, params, hyper):
+def _stack(vectors):
+    """(T, n) rows from T (n,) tensors."""
+    return nm.concat([nm.index(v, None) for v in vectors])
+
+
+def sequence_loss(example, params, hyper, enc=None):
     """Teacher-forced loss for one encoded pair.
 
     Returns (loss Tensor, per-token log-probabilities as floats). The loss
     is mean negative log-likelihood of the extended distribution plus
     lambda_cov times the mean per-step coverage penalty
-    sum_i min(a_i, cov_i).
+    sum_i min(a_i, cov_i). ``enc`` is the pair's EncoderOutput when the
+    caller has encoded a batch (``encode_batch``); None encodes it alone.
+    The decoder steps once per target token; the output distributions of
+    all steps come from one projection.
     """
     target = example.target_ids
     if not target:
@@ -295,28 +337,34 @@ def sequence_loss(example, params, hyper):
         if not 0 <= idx < ext_size:
             raise IndexError(f"target id {idx} outside extended range [0, {ext_size})")
 
-    enc = encode(example.base_ids, params, hyper)
+    if enc is None:
+        enc = encode(example.base_ids, params, hyper)
     state = enc.s0
     cov = Tensor(np.zeros(len(example.base_ids))) if hyper.attention else None
     feed = [START] + [_to_base(y, vocab_size) for y in target[:-1]]
 
-    nll_terms, cov_terms, logps = [], [], []
-    for y_prev, y in zip(feed, target):
+    hs, ctxs, attns, cov_terms = [], [], [], []
+    for y_prev in feed:
         step = decode_step(y_prev, state, enc, cov, example.ext_ids,
-                           example.ev, params, hyper)
-        logp = nm.log(nm.clamp_min(nm.index(step.p_star, y), LOGPROB_FLOOR))
-        nll_terms.append(nm.neg(logp))
-        logps.append(float(logp.data))
+                           example.ev, params, hyper, output=False)
+        hs.append(step.state[0])
+        ctxs.append(step.context)
+        attns.append(step.a)
         if hyper.coverage:
             cov_terms.append(nm.sum_all(nm.minimum(step.a, step.cov)))
         state = step.state
         cov = step.cov_next
 
     t_len = len(target)
-    loss = nm.scale(nm.add_n(nll_terms), 1.0 / t_len)
+    _, p_star = _output_dist(_stack(hs), _stack(ctxs) if hyper.attention else enc.summary,
+                             nm.gather_rows(params["E"], feed),
+                             _stack(attns) if hyper.copy else None,
+                             example.ext_ids, ext_size, params, hyper)
+    logp = nm.log(nm.clamp_min(nm.index(p_star, (np.arange(t_len), target)), LOGPROB_FLOOR))
+    loss = nm.scale(nm.sum_all(logp), -1.0 / t_len)
     if cov_terms and hyper.lambda_cov > 0:
         loss = nm.add(loss, nm.scale(nm.add_n(cov_terms), hyper.lambda_cov / t_len))
-    return loss, logps
+    return loss, logp.data.tolist()
 
 
 def encode_example(pair, vocab):

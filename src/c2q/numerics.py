@@ -88,10 +88,11 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(t) into ``t.grad`` for every leaf t below.
 
-        Dense gradients are added as they arrive. Factored weight gradients
-        and row updates wait per tensor and are folded in just before that
-        tensor's own backward runs (every consumer has reported by then):
-        all factor pairs as one product, all row updates with ``np.add.at``.
+        Dense gradients and updates of a basic-index slice are added as
+        they arrive. Factored weight gradients and updates at index arrays
+        wait per tensor and are folded in just before that tensor's own
+        backward runs (every consumer has reported by then): all factor
+        pairs as one product, all index-array updates with ``np.add.at``.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
@@ -99,22 +100,35 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         deferred = {}  # id(tensor) -> ([_Factors], [_Rows])
         for t in reversed(order):
-            parts = deferred.pop(id(t), None)
-            if parts is not None:
-                _fold(t, *parts)
-            if t._backward is None or t.grad is None:
-                continue
-            grads = t._backward(t.grad)
-            t.grad = None  # a non-leaf's gradient is spent; a second pass starts clean
-            for parent, g in zip(t._parents, grads):
-                if g is None:
-                    continue
-                if isinstance(g, (_Factors, _Rows)):
-                    deferred.setdefault(id(parent), ([], []))[isinstance(g, _Rows)].append(g)
-                    continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                np.add(parent.grad, g.reshape(parent.data.shape), out=parent.grad)
+            if id(t) in deferred:
+                _fold(t, *deferred.pop(id(t)))
+            if t._backward is not None and t.grad is not None:
+                _pass_back(t, deferred)
+
+
+def _pass_back(t, deferred):
+    """Run ``t``'s backward and hand each parent its gradient. A function
+    of its own, so the gradients it returns are freed once passed on."""
+    grads = t._backward(t.grad)
+    t.grad = None  # a non-leaf's gradient is spent; a second pass starts clean
+    for parent, g in zip(t._parents, grads):
+        if g is None:
+            continue
+        if isinstance(g, _Factors) or (isinstance(g, _Rows) and _has_array(g.key)):
+            deferred.setdefault(id(parent), ([], []))[isinstance(g, _Rows)].append(g)
+            continue
+        if parent.grad is None:
+            parent.grad = np.zeros_like(parent.data)
+        if isinstance(g, _Rows):
+            parent.grad[g.key] += g.g
+        else:
+            np.add(parent.grad, g.reshape(parent.data.shape), out=parent.grad)
+
+
+def _has_array(key):
+    """Whether an index holds an index array, which may repeat an entry."""
+    return isinstance(key, np.ndarray) or (
+        isinstance(key, tuple) and any(isinstance(k, np.ndarray) for k in key))
 
 
 # Gradients that backward defers and folds per tensor: ``left.T @ right``
@@ -307,8 +321,9 @@ def concat(tensors, axis=0):
 
 
 def index(a, key):
-    """``a[key]`` for a basic numpy index (ints, slices, None). Backward
-    hands ``g`` on as a row update of ``a[key]``."""
+    """``a[key]`` for a basic numpy index (ints, slices, None) or a tuple
+    of integer arrays picking single entries. Backward hands ``g`` on as a
+    row update of ``a[key]``."""
     a = _wrap(a)
     return Tensor(a.data[key], (a,), lambda g: (_Rows(key, g),))
 
@@ -427,17 +442,25 @@ def softmax(v, mask=None):
     return Tensor(p, (v,), bw)
 
 
-def lstm_seq(x, h0, c0, w, u, b):
-    """The standard gated LSTM run over the T steps of ``x`` from state
-    (``h0``, ``c0``), as one graph node. One sequence: ``x`` is (T, in),
-    the state (H,), and the output a (T, 2, H) tensor holding [h, c] after
-    each step. A batch of k sequences stepped together: ``x`` is
-    (T, k, in), the state (k, H), and the output (T, k, 2, H).
+def lstm_seq(x, h0, c0, w, u, b, sizes=None):
+    """The standard gated LSTM run over the steps of ``x`` from state
+    (``h0``, ``c0``), as one graph node. Three forms:
 
-    ``w`` is (4H, in), ``u`` is (4H, H), ``b`` is (4H,), gate order
-    input / forget / output / candidate. The forward projects all steps of
-    ``x`` in one product; the hand-written backward runs the recurrence in
-    reverse and then gets dx, dW, dU and db in one product or sum each.
+    - one sequence: ``x`` (T, in), state (H,), output (T, 2, H) holding
+      [h, c] after each step;
+    - k equal-length sequences stepped together: ``x`` (T, k, in), state
+      (k, H), output (T, k, 2, H);
+    - a packed ragged batch: ``x`` (N, in) holds the rows of B sequences in
+      time-major order, longest first, and ``sizes`` the number of live
+      rows at each step (non-increasing from B, summing to N), so step t's
+      rows are those of the first ``sizes[t]`` sequences. State (B, H),
+      output (N, 2, H).
+
+    The first two are the packed form with every size equal. ``w`` is
+    (4H, in), ``u`` is (4H, H), ``b`` is (4H,), gate order input / forget /
+    output / candidate. The forward projects all steps of ``x`` in one
+    product; the hand-written backward runs the recurrence in reverse and
+    then gets dx, dW, dU and db in one product or sum each.
     """
     x, h0, c0 = _wrap(x), _wrap(h0), _wrap(c0)
     xd, wd, ud = x.data, w.data, u.data
@@ -445,50 +468,82 @@ def lstm_seq(x, h0, c0, w, u, b):
     if wd.shape[0] != 4 * hsize or ud.shape[0] != 4 * hsize or b.data.shape != (4 * hsize,):
         raise ShapeError(
             f"lstm weight shapes inconsistent: W {wd.shape}, U {ud.shape}, b {b.data.shape}")
-    batch = h0.shape[:-1]  # () for one sequence, (k,) for k
-    if (len(batch) > 1 or h0.shape[-1:] != (hsize,) or c0.shape != h0.shape
-            or xd.ndim != 2 + len(batch) or xd.shape[1:] != batch + (in_dim,)):
-        raise ShapeError(f"lstm inputs x {xd.shape}, h0 {h0.shape}, c0 {c0.shape} do not fit "
-                         f"W {wd.shape}, U {ud.shape}")
-    steps, rows, sig = xd.shape[0], h0.data.size // hsize, 3 * hsize  # i, f, o are sigmoids
-    # gate pre-activations, then activations in place; one sequence is one row.
-    # The loops index views made once, which is cheaper than slicing per step.
-    act = (xd.reshape(-1, in_dim) @ wd.T + b.data).reshape(steps, rows, 4 * hsize)
-    i, f, o, g = (act[..., k * hsize:(k + 1) * hsize] for k in range(4))
-    ifo = act[..., :sig]
-    out = np.empty((steps, rows, 2, hsize), dtype=act.dtype)
-    h_out, c_out = out[:, :, 0], out[:, :, 1]
-    tc = np.empty((steps, rows, hsize), dtype=act.dtype)  # tanh(c)
-    h, c = h0.data.reshape(rows, hsize), c0.data.reshape(rows, hsize)
-    for t in range(steps):
-        a = act[t]
+    if sizes is None:
+        batch = h0.shape[:-1]  # () for one sequence, (k,) for k
+        fits = (len(batch) <= 1 and xd.ndim == 2 + len(batch)
+                and xd.shape[1:] == batch + (in_dim,))
+        sizes = [h0.data.size // hsize] * (xd.shape[0] if fits else 0)
+    else:
+        sizes = [int(n) for n in sizes]
+        fits = (len(sizes) > 0 and sizes[-1] >= 1 and sizes == sorted(sizes, reverse=True)
+                and xd.ndim == 2 and h0.shape == (sizes[0], hsize)
+                and xd.shape == (sum(sizes), in_dim))
+    if not fits or h0.shape[-1:] != (hsize,) or c0.shape != h0.shape:
+        raise ShapeError(f"lstm inputs x {xd.shape}, h0 {h0.shape}, c0 {c0.shape}, sizes "
+                         f"{sizes} do not fit W {wd.shape}, U {ud.shape}")
+    rows, sig = sum(sizes), 3 * hsize  # i, f, o are sigmoids
+    ends = np.cumsum(sizes).tolist()
+    steps = [slice(end - n, end) for n, end in zip(sizes, ends)]  # each step's rows
+    # gate pre-activations, then activations in place. The loops index
+    # views made once with a slice made once, the cheapest per step.
+    act = xd.reshape(rows, in_dim) @ wd.T + b.data
+    i, f, o, g = (act[:, k * hsize:(k + 1) * hsize] for k in range(4))
+    ifo = act[:, :sig]
+    out = np.empty((rows, 2, hsize), dtype=act.dtype)
+    h_out, c_out = out[:, 0], out[:, 1]
+    h, c = h0.data.reshape(-1, hsize), c0.data.reshape(-1, hsize)
+    for t, n in zip(steps, sizes):
+        if n < len(h):  # sequences that ended drop out of the state
+            h, c = h[:n], c[:n]
+        a, sig_t, g_t = act[t], ifo[t], g[t]
         a += (ud @ h.T).T  # U·hᵀ, as in linear
-        ifo[t] = _sigmoid(ifo[t])
-        np.tanh(g[t], out=g[t])
-        c = c_out[t] = f[t] * c + i[t] * g[t]
-        np.tanh(c, out=tc[t])
-        h = h_out[t] = o[t] * tc[t]
+        sig_t[...] = _sigmoid(sig_t)
+        np.tanh(g_t, out=g_t)
+        c = c_out[t] = f[t] * c + i[t] * g_t
+        h = h_out[t] = o[t] * np.tanh(c)
 
     def bw(grad):
-        grad = grad.reshape(out.shape)
-        c_in = np.concatenate([c0.data.reshape(1, rows, hsize), c_out[:-1]])
-        # dz[t] = [dc, dc, dh, dc] * coef[t], by gate
-        coef = np.concatenate([g * i * (1.0 - i), c_in * f * (1.0 - f),
-                               tc * o * (1.0 - o), i * (1.0 - g * g)], axis=-1)
-        dc_dh = o * (1.0 - tc * tc)
+        grad = grad.reshape(rows, 2, hsize)
+        # dz = [dc, dc, dh, dc] * coef by gate; coef is built in dz's buffer
+        # and multiplied through step by step (forget also by the cell in)
         dz = np.empty_like(act)
-        coef4, dz4 = coef.reshape(steps, rows, 4, hsize), dz.reshape(steps, rows, 4, hsize)
-        coef_o, dz_o, gh, gc = coef[..., 2 * hsize:sig], dz4[:, :, 2], grad[:, :, 0], grad[:, :, 1]
-        dh, dc = np.zeros((rows, hsize), act.dtype), np.zeros((rows, hsize), act.dtype)
-        for t in reversed(range(steps)):
-            dh = gh[t] + dh
-            dc = gc[t] + dc + dh * dc_dh[t]
-            np.multiply(coef4[t], dc[:, None], out=dz4[t])
-            np.multiply(coef_o[t], dh, out=dz_o[t])
-            dh, dc = dz[t] @ ud, dc * f[t]
-        h_in = np.concatenate([h0.data.reshape(1, rows, hsize), h_out[:-1]])
-        dz = dz.reshape(-1, 4 * hsize)  # backward reshapes dx, dh0, dc0 to their inputs
-        return (dz @ wd, dh, dc, dz.T @ xd.reshape(-1, in_dim), dz.T @ h_in.reshape(-1, hsize),
+        dz4 = dz.reshape(rows, 4, hsize)
+        dz_i, dz_f, dz_o, dz_g = (dz4[:, k] for k in range(4))
+        np.subtract(1.0, i, out=dz_i)
+        dz_i *= i
+        dz_i *= g
+        np.subtract(1.0, f, out=dz_f)
+        dz_f *= f
+        work = np.tanh(c_out)  # tanh(c), then dc/dh at each row, then the h entering it
+        np.subtract(1.0, o, out=dz_o)
+        dz_o *= o
+        dz_o *= work
+        np.multiply(g, g, out=dz_g)
+        np.subtract(1.0, dz_g, out=dz_g)
+        dz_g *= i
+        work *= work
+        np.subtract(1.0, work, out=work)
+        work *= o
+        # carries into the step before; rows of sequences that end at a
+        # step are still zero when the backward loop first reaches them
+        dh_in, dc_in = (np.zeros((h0.data.size // hsize, hsize), act.dtype) for _ in "hc")
+        for k in reversed(range(len(steps))):
+            t, n = steps[k], sizes[k]
+            if k:
+                before = slice(steps[k - 1].start, steps[k - 1].start + n)
+                h_prev, c_prev = h_out[before], c_out[before]
+            else:
+                h_prev, c_prev = h0.data.reshape(-1, hsize), c0.data.reshape(-1, hsize)
+            dh = grad[t, 0] + dh_in[:n]
+            dc = grad[t, 1] + dc_in[:n] + dh * work[t]
+            work[t] = h_prev
+            dz_f[t] *= c_prev
+            dz4[t, :2] *= dc[:, None]
+            dz_g[t] *= dc
+            dz_o[t] *= dh
+            np.matmul(dz[t], ud, out=dh_in[:n])
+            np.multiply(dc, f[t], out=dc_in[:n])
+        return (dz @ wd, dh_in, dc_in, dz.T @ xd.reshape(rows, in_dim), dz.T @ work,
                 dz.sum(axis=0))
 
     return Tensor(out.reshape(xd.shape[:-1] + (2, hsize)), (x, h0, c0, w, u, b), bw)

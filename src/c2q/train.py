@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .model import (Hyperparams, Parameters, init_parameters, parameter_shapes,
-                    sequence_loss)
+from .model import (Hyperparams, Parameters, encode_batch, init_parameters,
+                    parameter_shapes, sequence_loss)
 from .numerics import Rng
 
 CHECKPOINT_MAGIC = b"C2Q1"
@@ -97,12 +97,37 @@ def _batches(examples, order, batch_size):
     return [arranged[i:i + batch_size] for i in range(0, len(arranged), batch_size)]
 
 
-def mean_loss(examples, params, hyper):
+def _losses(batch, params, hyper):
+    """Loss tensors of a batch of examples, encoded together."""
+    encs = encode_batch([ex.base_ids for ex in batch], params, hyper)
+    return [sequence_loss(ex, params, hyper, enc=enc)[0] for ex, enc in zip(batch, encs)]
+
+
+def mean_loss(examples, params, hyper, batch_size=32):
+    """Mean loss over examples, encoded in chunks of ``batch_size``."""
     total = 0.0
-    for ex in examples:
-        loss, _ = sequence_loss(ex, params, hyper)
-        total += float(loss.data)
+    for start in range(0, len(examples), batch_size):
+        for loss in _losses(examples[start:start + batch_size], params, hyper):
+            total += float(loss.data)
     return total / max(1, len(examples))
+
+
+def _sgd_step(batch, params, hyper, config):
+    """One clipped SGD update from a batch; returns the batch loss. The
+    batch's graph is freed on return, before the next batch or validation
+    builds another."""
+    params.zero_grads()
+    batch_loss = nm.scale(nm.add_n(_losses(batch, params, hyper)), 1.0 / len(batch))
+    value = float(batch_loss.data)
+    if not np.isfinite(value):
+        raise TrainingDivergedError([ex.id for ex in batch])
+    batch_loss.backward()
+    clip_global_norm(params, config.grad_clip_norm)
+    if config.lr:
+        for t in params.values():
+            if t.grad is not None:
+                t.data -= (config.lr * t.grad).astype(t.data.dtype)
+    return value
 
 
 def train(train_examples, val_examples, hyper, config, vocab_hash="",
@@ -126,22 +151,11 @@ def train(train_examples, val_examples, hyper, config, vocab_hash="",
         order = rng.permutation(len(train_examples))
         epoch_losses = []
         for batch in _batches(train_examples, order, config.batch_size):
-            params.zero_grads()
-            losses = [sequence_loss(ex, params, hyper)[0] for ex in batch]
-            batch_loss = nm.scale(nm.add_n(losses), 1.0 / len(batch))
-            value = float(batch_loss.data)
-            if not np.isfinite(value):
-                raise TrainingDivergedError([ex.id for ex in batch])
-            batch_loss.backward()
-            clip_global_norm(params, config.grad_clip_norm)
-            if config.lr:
-                for t in params.values():
-                    if t.grad is not None:
-                        t.data -= (config.lr * t.grad).astype(t.data.dtype)
+            epoch_losses.append(_sgd_step(batch, params, hyper, config))
             step += 1
-            epoch_losses.append(value)
 
-        val_loss = mean_loss(val_examples, params, hyper) if val_examples else None
+        val_loss = (mean_loss(val_examples, params, hyper, config.batch_size)
+                    if val_examples else None)
         if val_loss is not None and not np.isfinite(val_loss):
             # NaN < best_val is false: without this no checkpoint would be
             # written and the caller would fall back to diverged parameters

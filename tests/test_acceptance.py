@@ -89,6 +89,7 @@ def _rel_norm_error(a, n, floor=1e-4):
                                        np.linalg.norm(n), floor)
 
 
+@pytest.mark.oracle
 def test_criterion_1_gradient_correctness():
     with criterion(1, "gradient correctness", 30):
         # finite differences need the doubled-precision mode to be

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c2q import corpus, retrieval
+from c2q import cli, corpus, retrieval
 from c2q.cli import run
 from c2q.train import load_checkpoint
 from c2q.vocab import SPECIALS, Vocabulary
@@ -310,6 +310,74 @@ def test_choice_outside_its_choices_in_config_is_data_error(workdir, capsys, tmp
     err = capsys.readouterr().err
     assert len(_error_lines(err)) == 1 and err.startswith("error kind=data")
     assert "ablation" in err and not ckpt.exists()
+
+
+def _dedup_report(workdir, tmp_path, extra):
+    report = tmp_path / "dedup.json"
+    assert run(["dedup", "--train-pairs", workdir["train"], "--test-pairs", workdir["test"],
+                "--vocab", workdir["vocab"], "--out-pairs", str(tmp_path / "clean.jsonl"),
+                "--report", str(report), "--delta", "0.1"] + extra) == 0
+    return report.read_text()
+
+
+def test_config_switches_an_on_off_flag_off(workdir, capsys, tmp_path):
+    # "false" must not read as a non-empty string, which is true
+    cfg = tmp_path / "c2q.cfg"
+    cfg.write_text("raw_embeddings = false\n")
+    plain = _dedup_report(workdir, tmp_path, [])
+    assert _dedup_report(workdir, tmp_path, ["--raw-embeddings"]) != plain
+    assert _dedup_report(workdir, tmp_path, ["--config", str(cfg)]) == plain
+    for value in ("TRUE", "yes", "1"):
+        cfg.write_text(f"raw_embeddings = {value}\n")
+        assert (_dedup_report(workdir, tmp_path, ["--config", str(cfg)])
+                == _dedup_report(workdir, tmp_path, ["--raw-embeddings"]))
+
+
+def test_config_greedy_false_decodes_with_the_beam(workdir, capsys, tmp_path, monkeypatch):
+    snippets = tmp_path / "s.jsonl"
+    snippets.write_text('{"code": "x = foo(1)"}\n')
+    argv = ["generate", "--checkpoint", workdir["ckpt"], "--vocab", workdir["vocab"],
+            "--input", str(snippets), "--beam", "3"]
+    assert run(argv) == 0
+    beam = capsys.readouterr().out
+    cfg = tmp_path / "c2q.cfg"
+    cfg.write_text("greedy = False\n")
+
+    def no_greedy(*args, **kwargs):
+        raise AssertionError("greedy decoding ran")
+    monkeypatch.setattr(cli, "greedy_decode_full", no_greedy)
+    assert run(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == beam
+
+
+def test_config_on_off_flag_rejects_other_values(workdir, capsys, tmp_path):
+    cfg = tmp_path / "c2q.cfg"
+    for value in ("maybe", "", "2", "on"):
+        cfg.write_text(f"greedy = {value}\n")
+        assert run(["generate", "--config", str(cfg), "--checkpoint", workdir["ckpt"],
+                    "--vocab", workdir["vocab"], "--input", str(tmp_path / "none.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert len(_error_lines(err)) == 1 and err.startswith("error kind=data")
+        assert "greedy" in err
+
+
+# 10**12 rows or columns ask malloc for petabytes, which it refuses at once:
+# never a size this machine could really allocate
+@pytest.mark.parametrize("argv", [
+    ["retrieve", "--input", "{snippets}", "--embed-dim", str(10 ** 12)],
+    ["dedup", "--test-pairs", "{test}", "--out-pairs", "{tmp}/clean.jsonl",
+     "--report", "{tmp}/r.json", "--embed-dim", str(10 ** 12)],
+    ["train", "--checkpoint", "{tmp}/m.ckpt", "--embed-dim", str(10 ** 12)],
+    ["train", "--checkpoint", "{tmp}/m.ckpt", "--hidden", str(10 ** 12)],
+], ids=["retrieve", "dedup", "train-embed-dim", "train-hidden"])
+def test_oversized_dimension_is_one_error_line(workdir, capsys, tmp_path, argv):
+    snippets = tmp_path / "s.jsonl"
+    snippets.write_text('{"code": "x = 1"}\n')
+    argv = [a.format(snippets=snippets, test=workdir["test"], tmp=tmp_path) for a in argv]
+    assert run(argv + ["--train-pairs", workdir["train"], "--vocab", workdir["vocab"]]) == 2
+    err = capsys.readouterr().err
+    assert len(_error_lines(err)) == 1 and err.startswith("error kind=memory")
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 @pytest.mark.parametrize("line", [

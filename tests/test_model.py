@@ -281,6 +281,7 @@ def test_decode_step_rows_match_single_row_calls(ablation):
                         assert np.array_equal(got[r], want)
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("ablation", sorted(ABLATION_PRESETS))
 def test_decode_step_rows_gradients(ablation):
     hyper = Hyperparams(embed_dim=3, hidden=3, ablation=ABLATION_PRESETS[ablation])
@@ -357,6 +358,7 @@ def test_target_out_of_range_errors():
         sequence_loss(ex, params, hyper)
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("ablation", ["basic", "atten", "atten+copy",
                                       "atten+coverage", "full"])
 def test_sequence_loss_gradients_all_variants(ablation):
@@ -401,8 +403,17 @@ def test_overfit_single_example_loss_nonincreasing():
                 t.data -= (0.01 * t.grad).astype(t.data.dtype)
 
 
-def _composed_lstm_seq(x, h0, c0, w, u, b):
-    # the same LSTM as one matvec-and-elementwise cell per row
+def _composed_lstm_seq(x, h0, c0, w, u, b, sizes=None):
+    # the same LSTM as one matvec-and-elementwise cell per row; a packed
+    # batch runs each sequence alone and puts its rows back where they were
+    if sizes is not None:
+        starts, rows = np.cumsum(sizes) - sizes, {}
+        for j in range(sizes[0]):
+            mine = [s + j for s, n in zip(starts, sizes) if n > j]
+            out = _composed_lstm_seq(nm.gather_rows(x, mine), nm.index(h0, j),
+                                     nm.index(c0, j), w, u, b)
+            rows.update((r, nm.index(out, slice(p, p + 1))) for p, r in enumerate(mine))
+        return nm.concat([rows[r] for r in range(len(rows))])
     hsize = u.data.shape[1]
     h, c, rows = h0, c0, []
     for t in range(x.shape[0]):
@@ -437,8 +448,9 @@ def test_lstm_seq_matches_composed_ops(ablation, dtype, monkeypatch):
             rng = Rng(100 + seed)
             examples = [make_example(*_random_example(rng, 7, 2 + k, 2 + k, 2),
                                      7, params) for k in range(3)]
-            loss = nm.add_n([sequence_loss(ex, params, hyper)[0]
-                             for ex in examples])
+            encs = md.encode_batch([ex.base_ids for ex in examples], params, hyper)
+            loss = nm.add_n([sequence_loss(ex, params, hyper, enc=enc)[0]
+                             for ex, enc in zip(examples, encs)])
             loss.backward()
             return [loss.data] + [t.grad for t in params.values()
                                   if t.grad is not None]
@@ -455,3 +467,130 @@ def test_lstm_seq_matches_composed_ops(ablation, dtype, monkeypatch):
         scale = max(np.abs(b).max() for b in composed[1:])
         for a, b in zip(fused[1:], composed[1:]):
             assert np.abs(a - b).max() <= rtol * scale
+
+
+def _assert_grads_close(grads, ref_grads, rtol=1e-12):
+    # to rtol of the largest gradient entry, as in
+    # test_lstm_seq_matches_composed_ops: W_sh's and b_att's are
+    # rounding-sized, since the softmax cancels what they add to every score
+    assert [g is None for g in grads] == [w is None for w in ref_grads]
+    scale = max(np.abs(w).max() for w in ref_grads if w is not None)
+    for g, w in zip(grads, ref_grads):
+        if w is not None:
+            assert np.abs(g - w).max() <= rtol * scale
+
+
+def _encoder_fields(enc):
+    return [t for t in (enc.H, *enc.s0, enc.summary, enc.keys) if t is not None]
+
+
+def _reference_encode(base_ids, params, hyper):
+    # one source on its own, each direction one unpacked lstm_seq call and
+    # the backward one on the reversed rows: the encoder before packing
+    zeros = Tensor(np.zeros(hyper.hidden))
+    rev, hs = slice(None, None, -1), (slice(None), 0)
+
+    def bilstm(x, layer):
+        fw, bw = (nm.lstm_seq(seq, zeros, zeros, *(params[f"enc_l{layer}_{d}_{n}"] for n in "WUb"))
+                  for d, seq in (("fw", x), ("bw", nm.index(x, rev))))
+        bw = nm.index(bw, rev)
+        return nm.concat([nm.index(fw, hs), nm.index(bw, hs)], axis=1), fw, bw
+
+    H, fw, bw = bilstm(bilstm(nm.gather_rows(params["E"], base_ids), 1)[0], 2)
+    summary = [nm.concat([nm.index(fw, (-1, k)), nm.index(bw, (0, k))]) for k in (0, 1)]
+    s0 = tuple(nm.tanh(nm.linear(v, params["W_b"], params["b_b"])) for v in summary)
+    keys = md._attention_keys(H, params) if hyper.attention else None
+    return md.EncoderOutput(H=H, s0=s0, summary=summary[0], keys=keys)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("ablation", ["basic", "full"])
+def test_encode_batch_matches_per_example_encode(ablation):
+    # every field of every EncoderOutput, and the gradient of a loss over
+    # all of them, equal encoding each source alone with the unpacked
+    # reference; the sources tie in length, come unsorted and include a
+    # one-token source. ``encode``, the batch of one, matches it as well.
+    hyper = tiny_hyper(embed=3, hidden=3, ablation=ablation)
+    sources = [[4, 5, 6], [7], [8, 4, 9, 5, 6], [5, 5, 10]]
+    with nm.use_dtype(np.float64):
+        params = init_parameters(hyper, 11, Rng(51))
+        rng = Rng(52)
+        probes = [[Tensor(rng.uniform(-1, 1, t.shape)) for t in _encoder_fields(enc)]
+                  for enc in md.encode_batch(sources, params, hyper)]
+
+        def run(encs):
+            params.zero_grads()
+            nm.add_n([nm.sum_all(nm.mul(t, p)) for enc, ps in zip(encs, probes)
+                      for t, p in zip(_encoder_fields(enc), ps)]).backward()
+            return ([[t.data for t in _encoder_fields(enc)] for enc in encs],
+                    [t.grad for t in params.values()])
+
+        ref_values, ref_grads = run([_reference_encode(s, params, hyper) for s in sources])
+        for encoder in (lambda: md.encode_batch(sources, params, hyper),
+                        lambda: [encode(s, params, hyper) for s in sources]):
+            values, grads = run(encoder())
+            for got, want in zip(values, ref_values):
+                assert [g.shape for g in got] == [w.shape for w in want]
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+            _assert_grads_close(grads, ref_grads)
+
+
+def test_encode_batch_rejects_empty_and_out_of_range_sources():
+    hyper = tiny_hyper()
+    params = init_parameters(hyper, 10, Rng(0))
+    for sources in ([], [[1, 2], []]):
+        with pytest.raises(ValueError):
+            md.encode_batch(sources, params, hyper)
+    with pytest.raises(IndexError):
+        md.encode_batch([[1, 2], [3, 10]], params, hyper)
+
+
+def _stepwise_loss(example, params, hyper):
+    # the loss from each decoder step's own output distribution: the
+    # reference for sequence_loss's one projection per title
+    vocab_size = params["E"].data.shape[0]
+    enc = encode(example.base_ids, params, hyper)
+    state = enc.s0
+    cov = Tensor(np.zeros(len(example.base_ids))) if hyper.attention else None
+    target = example.target_ids
+    feed = [START] + [y if y < vocab_size else UNK for y in target[:-1]]
+    nll_terms, cov_terms, logps = [], [], []
+    for y_prev, y in zip(feed, target):
+        step = decode_step(y_prev, state, enc, cov, example.ext_ids, example.ev, params, hyper)
+        logp = nm.log(nm.clamp_min(nm.index(step.p_star, y), md.LOGPROB_FLOOR))
+        nll_terms.append(nm.neg(logp))
+        logps.append(float(logp.data))
+        if hyper.coverage:
+            cov_terms.append(nm.sum_all(nm.minimum(step.a, step.cov)))
+        state, cov = step.state, step.cov_next
+    loss = nm.scale(nm.add_n(nll_terms), 1.0 / len(target))
+    if cov_terms and hyper.lambda_cov > 0:
+        loss = nm.add(loss, nm.scale(nm.add_n(cov_terms), hyper.lambda_cov / len(target)))
+    return loss, logps
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("ablation", sorted(ABLATION_PRESETS))
+def test_one_projection_sequence_loss_matches_stepwise_reference(ablation):
+    # loss, per-token log-probabilities and every gradient; targets repeat
+    # tokens and include copied (extended) ids. Weights 10 times the usual
+    # init make the attention, and so each step's context, differ by step.
+    hyper = Hyperparams(embed_dim=4, hidden=3, lambda_cov=0.7,
+                        ablation=ABLATION_PRESETS[ablation])
+    with nm.use_dtype(np.float64):
+        params = init_parameters(hyper, 9, Rng(61))
+        for t in params.values():
+            t.data *= 10
+        ex = make_example(*_random_example(Rng(62), 9, 5, 6, n_oov=2), 9, params)
+        ex.target_ids = [9, 5, 5, 10, 9, END]
+        results = []
+        for fn in (sequence_loss, _stepwise_loss):
+            params.zero_grads()
+            loss, logps = fn(ex, params, hyper)
+            loss.backward()
+            results.append((loss.data, logps, [t.grad for t in params.values()]))
+    (loss, logps, grads), (ref_loss, ref_logps, ref_grads) = results
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+    np.testing.assert_allclose(logps, ref_logps, rtol=1e-12)
+    _assert_grads_close(grads, ref_grads)

@@ -166,6 +166,7 @@ def test_lstm_seq_cprev_zero_forget_irrelevant():
     assert np.allclose(c1, c2, atol=1e-6)
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
 def test_lstm_seq_gradients_match_finite_differences(reverse):
     h, steps = 4, 3
@@ -271,6 +272,7 @@ def test_minimum_subgradient():
     assert np.allclose(b.grad, [0.0, 1.0])
 
 
+@pytest.mark.oracle
 def test_lstm_seq_batch_matches_separate_sequences_and_finite_differences():
     # k = 2 sequences stepped together: each output row equals its own
     # one-sequence run, and the batched backward passes the gradient check
@@ -348,3 +350,75 @@ def test_softmax_rows_reject_fully_masked_row():
         nm.softmax(Tensor(np.zeros((2, 2))), mask=[[True, False], [False, False]])
     with pytest.raises(nm.ShapeError):
         nm.softmax(Tensor(np.zeros((2, 3))), mask=[True, False])
+
+
+def _pack(seqs):
+    """(packed rows, sizes, each sequence's packed row indices) of
+    sequences sorted longest first: time-major, live rows per step."""
+    sizes = [sum(len(s) > t for s in seqs) for t in range(len(seqs[0]))]
+    starts = np.cumsum(sizes) - sizes
+    rows = [starts[:len(s)] + j for j, s in enumerate(seqs)]
+    packed = np.empty((sum(sizes), seqs[0].shape[1]))
+    for s, r in zip(seqs, rows):
+        packed[r] = s
+    return packed, sizes, rows
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("lengths", [[4], [3, 3, 3], [4, 2, 2, 1], [1, 1], [3, 1]],
+                         ids=["one", "equal", "ragged", "length-1", "ends-early"])
+def test_packed_lstm_seq_matches_separate_sequences_and_finite_differences(lengths):
+    # a packed ragged batch gives each sequence's rows, and each input's
+    # gradient, as that sequence run alone; the weight gradients are the
+    # sums of the separate runs'; the packed backward passes the check
+    h, in_dim = 3, 2
+    rng = Rng(41)
+    with nm.use_dtype(np.float64):
+        w = Tensor(rng.uniform(-0.4, 0.4, (4 * h, in_dim)))
+        u = Tensor(rng.uniform(-0.4, 0.4, (4 * h, h)))
+        b = Tensor(rng.uniform(-0.4, 0.4, 4 * h))
+        seqs = [rng.uniform(-1, 1, (n, in_dim)) for n in lengths]
+        packed, sizes, rows = _pack(seqs)
+        x = Tensor(packed)
+        h0, c0 = (Tensor(rng.uniform(-1, 1, (len(seqs), h))) for _ in "hc")
+        probe = rng.uniform(-1, 1, (len(packed), 2, h))
+
+        def f():
+            out = nm.lstm_seq(x, h0, c0, w, u, b, sizes=sizes)
+            return nm.sum_all(nm.mul(out, Tensor(probe)))
+
+        leaves = [x, h0, c0, w, u, b]
+        nm.zero_grads(leaves)
+        out = nm.lstm_seq(x, h0, c0, w, u, b, sizes=sizes)
+        assert out.shape == (len(packed), 2, h)
+        f().backward()
+        packed_grads = [t.grad.copy() for t in leaves]
+        nm.zero_grads([w, u, b])
+        for j, (s, r) in enumerate(zip(seqs, rows)):
+            xs, hs, cs = Tensor(s), Tensor(h0.data[j]), Tensor(c0.data[j])
+            alone = nm.lstm_seq(xs, hs, cs, w, u, b)
+            np.testing.assert_allclose(out.data[r], alone.data, rtol=1e-12, atol=1e-15)
+            nm.sum_all(nm.mul(alone, Tensor(probe[r]))).backward()
+            for got, want in ((packed_grads[0][r], xs.grad), (packed_grads[1][j], hs.grad),
+                              (packed_grads[2][j], cs.grad)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        for got, t in zip(packed_grads[3:], (w, u, b)):
+            assert np.abs(got - t.grad).max() <= 1e-12 * np.abs(t.grad).max()
+        err = nm.finite_diff_check(f, leaves, epsilon=1e-5)
+    assert err < 1e-3
+
+
+def test_packed_lstm_seq_rejects_bad_sizes():
+    h = 2
+    w, u, b = Tensor(np.zeros((4 * h, 3))), Tensor(np.zeros((4 * h, h))), Tensor(np.zeros(4 * h))
+    for x, state, sizes in (((3, 3), (2, h), [1, 2]),     # increasing
+                            ((3, 3), (2, h), [2, 2]),     # sum is not the row count
+                            ((2, 3), (2, h), [2, 0]),     # an empty step
+                            ((0, 3), (0, h), []),         # no step
+                            ((3, 3), (1, h), [2, 1]),     # state rows != sizes[0]
+                            ((3, 3), (h,), [2, 1]),       # one-sequence state
+                            ((3, 1, 3), (2, h), [2, 1]),  # not packed rows
+                            ((3, 2), (2, h), [2, 1])):    # input width != W's
+        with pytest.raises(nm.ShapeError):
+            nm.lstm_seq(Tensor(np.zeros(x)), Tensor(np.zeros(state)), Tensor(np.zeros(state)),
+                        w, u, b, sizes=sizes)
