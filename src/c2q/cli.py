@@ -17,6 +17,7 @@ import sys
 from . import corpus, metrics, retrieval
 from .corpus import DataError, SplitSpec
 from .decode import beam_search, greedy_decode_full, resolve_unk
+from .files import replace_atomically
 from .model import ABLATION_PRESETS, Hyperparams, encode_example
 from .numerics import Rng
 from .train import (CheckpointError, TrainConfig, TrainingDivergedError,
@@ -107,11 +108,9 @@ def _apply_config(subparser, path):
 
 
 def _atomic_write_json(obj, path):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with replace_atomically(path, "w") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _add_common(p):
@@ -305,8 +304,9 @@ def _read_snippets(args):
                                                   f"snippet line {lineno}: code_tokens"))
             elif "code" in obj:
                 code, lang = obj["code"], obj.get("lang", args.lang)
-                if not isinstance(code, str) or not isinstance(lang, str):
-                    raise DataError(f"snippet line {lineno}: code and lang must be strings")
+                if not (corpus.is_utf8(code) and corpus.is_utf8(lang)):
+                    raise DataError(
+                        f"snippet line {lineno}: code and lang must be UTF-8 strings")
                 snippets.append(corpus.tokenize_code(code, lang))
             else:
                 raise DataError(f"snippet line {lineno}: need code_tokens or code")

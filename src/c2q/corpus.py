@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
+from .files import replace_atomically
 from .numerics import Rng
 from .vocab import SPECIALS
 
@@ -281,8 +282,8 @@ def read_posts(path):
                 continue
             try:
                 obj = json.loads(line)
-                if not all(isinstance(obj[k], str) for k in ("lang", "title", "body")):
-                    raise TypeError("lang, title and body must be strings")
+                if not all(is_utf8(obj[k]) for k in ("lang", "title", "body")):
+                    raise TypeError("lang, title and body must be UTF-8 strings")
                 posts.append(RawPost(id=_json_int(obj, "id"), lang=obj["lang"],
                                      title=obj["title"], body=obj["body"],
                                      score=_json_int(obj, "score")))
@@ -305,6 +306,11 @@ _SPECIALS = frozenset(SPECIALS)
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
 
 
+def is_utf8(value):
+    """Whether ``value`` is a string that UTF-8 can encode."""
+    return isinstance(value, str) and (value.isascii() or not _SURROGATE.search(value))
+
+
 def token_list(value, field):
     """``value`` checked to be a JSON list of tokens: non-empty strings with
     no whitespace that UTF-8 can encode, none of them a special marker such
@@ -318,14 +324,14 @@ def token_list(value, field):
     # ">"), so the set test decides
     if (joined is not None and (not joined or joined.split(None, 1) == [joined])
             and not (_MARKER.search(joined) and not _SPECIALS.isdisjoint(value))
-            and (joined.isascii() or not _SURROGATE.search(joined))):
+            and is_utf8(joined)):
         return value
     raise DataError(f"{field} must be a list of non-empty, whitespace-free UTF-8 strings "
                     f"other than {', '.join(SPECIALS)}")
 
 
 def write_pairs(pairs, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_atomically(path, "w") as fh:
         for p in pairs:
             fh.write(json.dumps({"id": p.id, "lang": p.lang,
                                  "code_tokens": p.code_tokens,

@@ -17,13 +17,37 @@ class PRF:
         return {"p": self.precision, "r": self.recall, "f": self.f1}
 
 
-def _ngrams(tokens, n):
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-
-
 def _check_corpus(candidates, references):
     if len(candidates) != len(references) or not candidates:
         raise ValueError("candidates and references must be equal-length, nonempty")
+
+
+def _overlaps(candidates, references, n):
+    """For each order k = 1..n, [clipped k-gram matches, candidate k-grams,
+    reference k-grams] pooled over the pairs (BLEU and ROUGE-N share them)."""
+    tallies = [[0, 0, 0] for _ in range(n)]
+    for cand, ref in zip(candidates, references):
+        for k, tally in enumerate(tallies, 1):
+            cgrams = Counter(tuple(cand[i:i + k]) for i in range(len(cand) - k + 1))
+            rgrams = Counter(tuple(ref[i:i + k]) for i in range(len(ref) - k + 1))
+            tally[0] += sum(min(c, rgrams[g]) for g, c in cgrams.items())
+            tally[1] += max(0, len(cand) - k + 1)
+            tally[2] += max(0, len(ref) - k + 1)
+    return tallies
+
+
+def _bleu(tallies, smooth=0):
+    """BLEU over the orders in ``tallies``, each count plus ``smooth``;
+    unsmoothed, 0 if any precision is 0."""
+    logs = []
+    for match, total, _ in tallies:
+        if not smooth and match == 0:
+            return 0.0
+        logs.append(math.log((match + smooth) / (total + smooth)))
+    geo = math.exp(sum(logs) / len(tallies))
+    _, cand_len, ref_len = tallies[0]
+    bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / max(1, cand_len))
+    return geo * bp
 
 
 def bleu(candidates, references, n=4):
@@ -31,40 +55,12 @@ def bleu(candidates, references, n=4):
     geometric mean of p_1..p_n, times brevity penalty exp(1 - r/c) when
     the candidate corpus is shorter. 0 if any pooled precision is 0."""
     _check_corpus(candidates, references)
-    cand_len = ref_len = 0
-    matches = [0] * n
-    totals = [0] * n
-    for cand, ref in zip(candidates, references):
-        cand_len += len(cand)
-        ref_len += len(ref)
-        for k in range(1, n + 1):
-            cgrams = _ngrams(cand, k)
-            rgrams = _ngrams(ref, k)
-            matches[k - 1] += sum(min(c, rgrams[g]) for g, c in cgrams.items())
-            totals[k - 1] += sum(cgrams.values())
-    precisions = []
-    for k in range(n):
-        if totals[k] == 0 or matches[k] == 0:
-            return 0.0
-        precisions.append(matches[k] / totals[k])
-    geo = math.exp(sum(math.log(p) for p in precisions) / n)
-    bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / max(1, cand_len))
-    return geo * bp
+    return _bleu(_overlaps(candidates, references, n))
 
 
 def sentence_bleu_smoothed(candidate, reference, n=4):
     """Add-one smoothed sentence-level BLEU; debugging aid only."""
-    cand_len, ref_len = len(candidate), len(reference)
-    logs = []
-    for k in range(1, n + 1):
-        cgrams = _ngrams(candidate, k)
-        rgrams = _ngrams(reference, k)
-        match = sum(min(c, rgrams[g]) for g, c in cgrams.items())
-        total = sum(cgrams.values())
-        logs.append(math.log((match + 1) / (total + 1)))
-    geo = math.exp(sum(logs) / n)
-    bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / max(1, cand_len))
-    return geo * bp
+    return _bleu(_overlaps([candidate], [reference], n), smooth=1)
 
 
 def _prf(match, cand_total, ref_total):
@@ -77,14 +73,7 @@ def _prf(match, cand_total, ref_total):
 def rouge_n(candidates, references, n):
     """Corpus-pooled clipped n-gram overlap precision/recall/F1."""
     _check_corpus(candidates, references)
-    match = cand_total = ref_total = 0
-    for cand, ref in zip(candidates, references):
-        cgrams = _ngrams(cand, n)
-        rgrams = _ngrams(ref, n)
-        match += sum(min(c, rgrams[g]) for g, c in cgrams.items())
-        cand_total += sum(cgrams.values())
-        ref_total += sum(rgrams.values())
-    return _prf(match, cand_total, ref_total)
+    return _prf(*_overlaps(candidates, references, n)[n - 1])
 
 
 def lcs_length(a, b):
@@ -116,13 +105,15 @@ def rouge_l(candidates, references):
 
 def score_report(candidates, references):
     """Full evaluation report, JSON-serializable."""
+    _check_corpus(candidates, references)
+    tallies = _overlaps(candidates, references, 4)
     return {
-        "bleu1": bleu(candidates, references, 1),
-        "bleu2": bleu(candidates, references, 2),
-        "bleu3": bleu(candidates, references, 3),
-        "bleu4": bleu(candidates, references, 4),
-        "rouge1": rouge_n(candidates, references, 1).as_dict(),
-        "rouge2": rouge_n(candidates, references, 2).as_dict(),
+        "bleu1": _bleu(tallies[:1]),
+        "bleu2": _bleu(tallies[:2]),
+        "bleu3": _bleu(tallies[:3]),
+        "bleu4": _bleu(tallies),
+        "rouge1": _prf(*tallies[0]).as_dict(),
+        "rouge2": _prf(*tallies[1]).as_dict(),
         "rougeL": rouge_l(candidates, references).as_dict(),
         "pairs": len(candidates),
     }

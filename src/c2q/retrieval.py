@@ -41,25 +41,26 @@ class TfidfIndex:
         lengths = np.fromiter(map(len, codes), np.intp, n)
         terms = np.fromiter(map(self.term_ids.__getitem__, chain.from_iterable(codes)),
                             np.intp, int(lengths.sum()))
-        # one entry per (term, row) pair, in postings order (by term, then row):
-        # its term frequency and the position of its first occurrence
-        keys, first, tf = np.unique(terms * n + np.repeat(np.arange(n), lengths),
-                                    return_index=True, return_counts=True)
+        # one entry per (term, row) pair, in postings order (by term, then
+        # row), with its term frequency
+        keys, tf = np.unique(terms * n + np.repeat(np.arange(n), lengths), return_counts=True)
         term, row = np.divmod(keys, n)
         df = np.bincount(term, minlength=n_terms)
         self.idf = {t: math.log((n + 1) / (c + 1)) + 1.0
                     for t, c in zip(self.term_ids, df.tolist())}
         w = tf * np.fromiter(self.idf.values(), np.float64, n_terms)[term]
         self.rows = row
-        self.weights = w / np.sqrt(_row_sums(w * w, row, first, n))[row]
+        # bincount adds in input order, so each row's squares add by ascending term id
+        self.weights = w / np.sqrt(np.bincount(row, w * w, minlength=n))[row]
         self.indptr = np.concatenate(([0], np.cumsum(df)))
 
     def _vectorize(self, tokens):
         tf = Counter(t for t in tokens if t in self.idf)
         vec = {t: c * self.idf[t] for t, c in tf.items()}
         norm = 0.0
-        for w in vec.values():  # left to right, as _row_sums; sum() compensates on 3.12+
-            norm += w * w
+        # by term id, as the index's bincount adds; sum() compensates on 3.12+
+        for t in sorted(vec, key=self.term_ids.__getitem__):
+            norm += vec[t] * vec[t]
         norm = math.sqrt(norm)
         return {t: w / norm for t, w in vec.items()}
 
@@ -75,20 +76,6 @@ class TfidfIndex:
         best = int(np.argmax(scores))  # the first of equal scores: the lowest id
         return RetrievedTitle(matched=True, doc_id=self.doc_ids[best],
                               title=self.titles[best], score=float(scores[best]))
-
-
-def _row_sums(values, rows, order, n_rows):
-    """Per row, the sum of its ``values`` added left to right in ascending
-    ``order``, as a Python loop would: step k adds the k-th value of every
-    row that has more than k."""
-    counts = np.bincount(rows, minlength=n_rows)
-    starts = np.cumsum(counts) - counts
-    values = values[np.argsort(order)]  # grouped by row, each row in order
-    sums = np.zeros(n_rows)
-    for k in range(counts.max(initial=0)):
-        live = np.flatnonzero(counts > k)
-        sums[live] += values[starts[live] + k]
-    return sums
 
 
 def ir_baseline(query_code_tokens, index):

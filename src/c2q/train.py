@@ -4,14 +4,14 @@ tracking, and a binary checkpoint format."""
 from __future__ import annotations
 
 import json
-import os
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import numerics as nm
+from .files import replace_atomically
 from .model import (Hyperparams, Parameters, encode_batch, init_parameters,
                     parameter_shapes, sequence_loss)
 from .numerics import Rng
@@ -182,46 +182,22 @@ def train(train_examples, val_examples, hyper, config, vocab_hash="",
 #         manifest order (offsets relative to the data section)
 
 
-def _hyper_to_json(hyper):
-    return {"embed_dim": hyper.embed_dim, "hidden": hyper.hidden,
-            "vocab_min_freq": hyper.vocab_min_freq,
-            "lambda_cov": hyper.lambda_cov,
-            "ablation": sorted(hyper.ablation),
-            "max_decode_len": hyper.max_decode_len}
-
-
-def _hyper_from_json(obj):
-    return Hyperparams(embed_dim=obj["embed_dim"], hidden=obj["hidden"],
-                       vocab_min_freq=obj["vocab_min_freq"],
-                       lambda_cov=obj["lambda_cov"],
-                       ablation=frozenset(obj["ablation"]),
-                       max_decode_len=obj["max_decode_len"])
-
-
 def save_checkpoint(params, hyper, vocab_hash, path):
-    manifest, offset = [], 0
-    blobs = []
+    manifest, arrays, offset = [], [], 0
     for name, tensor in params.items():
-        data = np.ascontiguousarray(tensor.data, dtype="<f4")
+        arrays.append(np.ascontiguousarray(tensor.data, dtype="<f4"))
         manifest.append({"name": name, "shape": list(tensor.data.shape),
                          "offset": offset})
-        blobs.append(data.tobytes())
-        offset += len(blobs[-1])
-    header = json.dumps({"hyperparams": _hyper_to_json(hyper),
+        offset += arrays[-1].nbytes
+    header = json.dumps({"hyperparams": asdict(hyper) | {"ablation": sorted(hyper.ablation)},
                          "vocab_hash": vocab_hash,
                          "init": "uniform(-0.1,0.1) weights, zero biases",
                          "manifest": manifest}).encode("utf-8")
-    payload = (CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
-               + struct.pack("<I", len(header)) + header + b"".join(blobs))
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with replace_atomically(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header))
+                 + header)
+        for data in arrays:
+            fh.write(data)
 
 
 def load_checkpoint(path, expected_vocab_hash=None):
@@ -256,6 +232,8 @@ def load_checkpoint(path, expected_vocab_hash=None):
         if end > len(data):
             raise CheckpointTruncatedError(f"{path}: truncated tensor {entry['name']}")
         arr = np.frombuffer(data[offset:end], dtype="<f4").reshape(entry["shape"])
+        if not np.isfinite(arr).all():
+            raise CheckpointFormatError(f"{path}: tensor {entry['name']} holds NaN or inf")
         tensors[entry["name"]] = nm.Tensor(arr.copy())
         offset = end
     if offset != len(data):
@@ -272,7 +250,8 @@ def _check_header(header, path):
     if not isinstance(header, dict):
         raise bad("not a JSON object")
     try:
-        hyper = _hyper_from_json(header["hyperparams"])
+        obj = header["hyperparams"]
+        hyper = Hyperparams(**{f.name: obj[f.name] for f in fields(Hyperparams)})
     except (KeyError, TypeError, ValueError) as exc:
         raise bad(f"hyperparams: {exc!r}") from exc
     if not all(type(getattr(hyper, key)) is int

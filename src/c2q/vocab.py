@@ -4,9 +4,10 @@ vocabularies so the copy mechanism can emit source-only tokens."""
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import Counter
 from dataclasses import dataclass, field
+
+from .files import replace_atomically
 
 PAD, UNK, START, END = 0, 1, 2, 3
 SPECIALS = ("<pad>", "<unk>", "<start>", "<end>")
@@ -54,17 +55,10 @@ class Vocabulary:
         """Write ``path`` + ".tmp", then move it into place: a failed write
         leaves any earlier file untouched."""
         body = self.id_to_token[4:]
-        tmp = os.fspath(path) + ".tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(f"{VOCAB_HEADER_PREFIX}{len(body)}\n")
-                for t in body:
-                    fh.write(t + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with replace_atomically(path, "w") as fh:
+            fh.write(f"{VOCAB_HEADER_PREFIX}{len(body)}\n")
+            for t in body:
+                fh.write(t + "\n")
 
     @classmethod
     def load(cls, path):

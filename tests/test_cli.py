@@ -3,13 +3,14 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c2q import cli, corpus, retrieval
 from c2q.cli import run
-from c2q.train import load_checkpoint
+from c2q.train import load_checkpoint, save_checkpoint
 from c2q.vocab import SPECIALS, Vocabulary
 
 TINY = ["--embed-dim", "8", "--hidden", "8", "--max-len", "8"]
@@ -391,6 +392,8 @@ def test_oversized_dimension_is_one_error_line(workdir, capsys, tmp_path, argv):
     '{"code": "x = 1", "lang": "cobol"}',
     '{"code_tokens": ["a b"]}',
     '{"code_tokens": ["x", "<end>"]}',
+    '{"code": "x = \\ud800"}',  # a lone surrogate: UTF-8 cannot encode it
+    '{"code": "x = 1", "lang": "\\udc00"}',
 ])
 def test_malformed_snippet_is_data_error(workdir, capsys, tmp_path, line):
     snippets = tmp_path / "s.jsonl"
@@ -403,6 +406,52 @@ def test_malformed_snippet_is_data_error(workdir, capsys, tmp_path, line):
         assert out.out == ""
         assert len(_error_lines(out.err)) == 1
         assert out.err.startswith("error kind=data")
+
+
+@pytest.mark.parametrize("field", ["lang", "title", "body"])
+def test_lone_surrogate_in_post_is_data_error(capsys, tmp_path, field):
+    post = {"id": 7, "lang": "python", "title": "How do I add two numbers together?",
+            "body": "<code>\nx = add(a, b) + add(c, d) * 2 - 1\nprint(x, a, b)\n</code>",
+            "score": 3}
+    post[field] += "\ud800"
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text(json.dumps(post) + "\n")
+    out = tmp_path / "out"
+    assert run(["preprocess", "--input", str(posts), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(_error_lines(err)) == 1 and err.startswith("error kind=data")
+    assert f"{posts}:1:" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tensor", ["W_v", "E", "dec_U"])
+def test_non_finite_checkpoint_is_data_error(workdir, capsys, tmp_path, tensor):
+    params, hyper, vocab_hash = load_checkpoint(workdir["ckpt"])
+    params[tensor].data.flat[1] = np.nan
+    bad = str(tmp_path / "nan.ckpt")
+    save_checkpoint(params, hyper, vocab_hash, bad)
+    evaluate = ["evaluate", "--test-pairs", workdir["test"], "--greedy"]
+    dedup = ["dedup", "--train-pairs", workdir["train"], "--test-pairs", workdir["test"],
+             "--out-pairs", str(tmp_path / "clean.jsonl"),
+             "--report", str(tmp_path / "report.json")]
+    for argv in (evaluate, dedup):
+        assert run(argv + ["--checkpoint", bad, "--vocab", workdir["vocab"]]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(_error_lines(out.err)) == 1 and out.err.startswith("error kind=data")
+        assert tensor in out.err
+    assert sorted(os.listdir(tmp_path)) == ["nan.ckpt"]
+
+
+def test_report_onto_a_directory_leaves_no_tmp(workdir, capsys, tmp_path):
+    folder = tmp_path / "report"
+    folder.mkdir()
+    assert run(["ir-baseline", "--train-pairs", workdir["train"],
+                "--test-pairs", workdir["test"], "--out", str(folder)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(_error_lines(out.err)) == 1 and out.err.startswith("error kind=data")
+    assert os.listdir(tmp_path) == ["report"]
 
 
 def test_build_vocab_rejects_whitespace_token(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -179,6 +180,19 @@ def test_pairs_jsonl_roundtrip(tmp_path):
     loaded = corpus.read_pairs(path)
     assert [(p.id, p.code_tokens, p.title_tokens) for p in loaded] == \
            [(p.id, p.code_tokens, p.title_tokens) for p in pairs]
+
+
+def test_failed_write_pairs_keeps_earlier_file(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    corpus.write_pairs([qc(1, ["how", "a", "b", "c"], 20)], path)
+    before = path.read_bytes()
+    # the second record cannot be serialized, after the first was written
+    broken = [qc(2, ["what", "x", "y", "?"], 30), qc(3, ["how", "z"], 20)]
+    broken[1].title_tokens = [object()]
+    with pytest.raises(TypeError):
+        corpus.write_pairs(broken, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["pairs.jsonl"]  # no temp file left
 
 
 @pytest.mark.parametrize("field,value", [

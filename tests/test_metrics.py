@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -146,3 +147,69 @@ def test_every_score_in_unit_interval(pairs):
 def test_bleu_is_one_on_identical_titles(refs, n):
     refs = [r for r in refs if len(r) >= n] or [["a"] * n]
     assert bleu([list(r) for r in refs], refs, n) == 1.0
+
+
+# The per-order BLEU and ROUGE-N code that the shared n-gram tally replaced,
+# kept as the reference: the tally must give the same floats, bit for bit.
+def _ref_ngrams(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _ref_bp(cand_len, ref_len):
+    return 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / max(1, cand_len))
+
+
+def _ref_bleu(candidates, references, n):
+    cand_len = ref_len = 0
+    matches, totals = [0] * n, [0] * n
+    for cand, ref in zip(candidates, references):
+        cand_len += len(cand)
+        ref_len += len(ref)
+        for k in range(1, n + 1):
+            cgrams, rgrams = _ref_ngrams(cand, k), _ref_ngrams(ref, k)
+            matches[k - 1] += sum(min(c, rgrams[g]) for g, c in cgrams.items())
+            totals[k - 1] += sum(cgrams.values())
+    precisions = []
+    for k in range(n):
+        if totals[k] == 0 or matches[k] == 0:
+            return 0.0
+        precisions.append(matches[k] / totals[k])
+    return math.exp(sum(math.log(p) for p in precisions) / n) * _ref_bp(cand_len, ref_len)
+
+
+def _ref_sentence_bleu(candidate, reference, n):
+    logs = []
+    for k in range(1, n + 1):
+        cgrams, rgrams = _ref_ngrams(candidate, k), _ref_ngrams(reference, k)
+        match = sum(min(c, rgrams[g]) for g, c in cgrams.items())
+        logs.append(math.log((match + 1) / (sum(cgrams.values()) + 1)))
+    return math.exp(sum(logs) / n) * _ref_bp(len(candidate), len(reference))
+
+
+def _ref_rouge_n(candidates, references, n):
+    match = cand_total = ref_total = 0
+    for cand, ref in zip(candidates, references):
+        cgrams, rgrams = _ref_ngrams(cand, n), _ref_ngrams(ref, n)
+        match += sum(min(c, rgrams[g]) for g, c in cgrams.items())
+        cand_total += sum(cgrams.values())
+        ref_total += sum(rgrams.values())
+    p = match / cand_total if cand_total else 0.0
+    r = match / ref_total if ref_total else 0.0
+    return {"p": p, "r": r, "f": 2 * p * r / (p + r) if (p + r) else 0.0}
+
+
+@settings(max_examples=400)
+@given(pairs=st.lists(st.tuples(TITLES, TITLES), min_size=1, max_size=6),
+       n=st.integers(1, 10))
+def test_shared_tally_equals_per_order_reference(pairs, n):
+    # TITLES draws empty titles, and n runs past the longest title
+    cands, refs = map(list, zip(*pairs))
+    report = score_report(cands, refs)
+    assert report == {**{f"bleu{k}": _ref_bleu(cands, refs, k) for k in range(1, 5)},
+                      "rouge1": _ref_rouge_n(cands, refs, 1),
+                      "rouge2": _ref_rouge_n(cands, refs, 2),
+                      "rougeL": rouge_l(cands, refs).as_dict(), "pairs": len(cands)}
+    assert bleu(cands, refs, n) == _ref_bleu(cands, refs, n)
+    assert rouge_n(cands, refs, n).as_dict() == _ref_rouge_n(cands, refs, n)
+    for cand, ref in pairs:
+        assert sentence_bleu_smoothed(cand, ref, n) == _ref_sentence_bleu(cand, ref, n)

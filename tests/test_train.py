@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c2q import train as train_module
+from c2q import files as files_module
 from c2q.corpus import QCPair
 from c2q.model import (ABLATION_PRESETS, Hyperparams, Parameters,
                        encode_example, init_parameters, sequence_loss)
@@ -159,7 +159,7 @@ def test_failed_checkpoint_save_keeps_earlier_file(tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, hyper, "h", str(path))
     before = path.read_bytes()
-    monkeypatch.setattr(train_module, "open", lambda p, mode: _FullDisk(p, "w"),
+    monkeypatch.setattr(files_module, "open", lambda p, mode: _FullDisk(p, "w"),
                         raising=False)
     with pytest.raises(OSError, match="No space"):
         save_checkpoint(random_params(6)[1], hyper, "h2", str(path))
