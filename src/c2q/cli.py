@@ -269,7 +269,7 @@ def _cmd_train(args):
     val_examples = [encode_example(p, vocab) for p in val_pairs]
     config = TrainConfig(lr=args.lr, batch_size=args.batch_size,
                          epochs=args.epochs,
-                         grad_clip_norm=args.grad_clip or None,
+                         grad_clip_norm=args.grad_clip,
                          seed=args.seed, checkpoint_path=args.checkpoint)
     _, log = train(train_examples, val_examples, hyper, config,
                    vocab_hash=vocab.content_hash(),
@@ -365,7 +365,7 @@ def _cmd_ir_baseline(args):
                                   for p in train_pairs])
     candidates = []
     for pair in test_pairs:
-        result = retrieval.ir_baseline(pair.code_tokens, index)
+        result = index.query(pair.code_tokens)
         candidates.append(list(result.title) if result.matched else [])
     report = metrics.score_report(candidates, [p.title_tokens for p in test_pairs])
     if args.out:

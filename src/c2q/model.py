@@ -146,10 +146,6 @@ class EncoderOutput:
     summary: Tensor      # (2h,) [fw_M; bw_1], the fixed context for the basic model
     keys: Tensor | None  # (M, a) attention keys H·W_ehᵀ; None without attention
 
-    @property
-    def source_len(self):
-        return self.H.data.shape[0]
-
 
 @dataclass
 class DecoderStep:
@@ -237,7 +233,7 @@ def encode(base_ids, params, hyper):
 
 
 def _attention_keys(H, params):
-    return nm.matmul(H, nm.transpose(params["W_eh"]))
+    return nm.linear(H, params["W_eh"])
 
 
 def attention_step(s_t, H, cov, params, mask=None, keys=None):
@@ -300,12 +296,13 @@ def _output_dist(h, ctx, x, a, ext_ids, ext_size, params, hyper):
                                       params["b_v"]))
     if not hyper.copy:
         return None, nm.pad_zeros(vocab_dist, ext_size)
-    p_cg = nm.sigmoid(nm.add_n([nm.dot(ctx, params["w_c"]), nm.dot(h, params["w_s"]),
-                                nm.dot(x, params["w_x"]), params["b_cg"]]))
+    p_cg = nm.sigmoid(nm.add_n([nm.matmul(ctx, params["w_c"]), nm.matmul(h, params["w_s"]),
+                                nm.matmul(x, params["w_x"]), params["b_cg"]]))
     gate = nm.index(p_cg, (slice(None), None)) if p_cg.data.ndim else p_cg
     copy_dist = nm.scatter_add(a, ext_ids, ext_size)
     gen_dist = nm.pad_zeros(vocab_dist, ext_size)
-    return p_cg, nm.add(nm.mul(gate, copy_dist), nm.mul(nm.add(1.0, nm.neg(gate)), gen_dist))
+    keep = nm.add(1.0, nm.scale(gate, -1.0))  # 1 - p_cg
+    return p_cg, nm.add(nm.mul(gate, copy_dist), nm.mul(keep, gen_dist))
 
 
 def _to_base(idx, vocab_size):

@@ -55,35 +55,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-    def __neg__(self):
-        return neg(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self):
         """Accumulate d(self)/d(t) into ``t.grad`` for every leaf t below.
@@ -204,11 +177,6 @@ def add(a, b):
     return Tensor(a.data + b.data, (a, b), bw)
 
 
-def neg(a):
-    a = _wrap(a)
-    return Tensor(-a.data, (a,), lambda g: (-g,))
-
-
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
     ad, bd = a.data, b.data
@@ -270,7 +238,7 @@ def matmul(a, b):
 
     elif ad.ndim == 1 and bd.ndim == 1:
         if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"dot shapes {ad.shape} and {bd.shape} not conformable")
+            raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} not conformable")
 
         def bw(g):
             return g * bd, g * ad
@@ -278,10 +246,6 @@ def matmul(a, b):
     else:
         raise ShapeError(f"matmul unsupported ranks {ad.shape} @ {bd.shape}")
     return Tensor(ad @ bd, (a, b), bw)
-
-
-def dot(a, b):
-    return matmul(a, b)
 
 
 def linear(x, w, b=None):
@@ -299,11 +263,6 @@ def linear(x, w, b=None):
         y = Tensor(np.ascontiguousarray((wd @ xd.T).T), (x, w),
                    lambda g: (g @ wd, _Factors(g, xd)))
     return y if b is None else add(y, b)
-
-
-def transpose(a):
-    a = _wrap(a)
-    return Tensor(a.data.T, (a,), lambda g: (g.T,))
 
 
 def concat(tensors, axis=0):

@@ -65,6 +65,8 @@ class TfidfIndex:
         return {t: w / norm for t, w in vec.items()}
 
     def query(self, tokens):
+        """Title of the nearest document by TF-IDF cosine; ties go to the
+        lowest document id; no-match when no query token is indexed."""
         qvec = self._vectorize(tokens)
         if not qvec:
             return RetrievedTitle(matched=False)
@@ -76,12 +78,6 @@ class TfidfIndex:
         best = int(np.argmax(scores))  # the first of equal scores: the lowest id
         return RetrievedTitle(matched=True, doc_id=self.doc_ids[best],
                               title=self.titles[best], score=float(scores[best]))
-
-
-def ir_baseline(query_code_tokens, index):
-    """Title of the nearest training snippet by TF-IDF cosine; ties go to the
-    lowest document id; no-match when no query token is indexed."""
-    return index.query(query_code_tokens)
 
 
 @dataclass

@@ -4,6 +4,8 @@ tracking, and a binary checkpoint format."""
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, fields
@@ -51,13 +53,15 @@ class TrainConfig:
     lr: float = 0.01
     batch_size: int = 32
     epochs: int = 30
-    grad_clip_norm: float | None = 5.0
+    grad_clip_norm: float = 5.0  # 0 disables clipping
     seed: int = 0
     checkpoint_path: str | None = None
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        for name in ("lr", "grad_clip_norm"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # also false for NaN
+                raise ValueError(f"{name} must be finite and >= 0, not {value!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -72,13 +76,14 @@ class TrainLogEntry:
 
 
 def clip_global_norm(params, max_norm):
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm; a
+    max_norm of 0 leaves them as they are. Returns the norm before."""
     total = 0.0
     for t in params.values():
         if t.grad is not None:
             total += float((t.grad.astype(np.float64) ** 2).sum())
     norm = total ** 0.5
-    if max_norm is not None and norm > max_norm > 0:
+    if norm > max_norm > 0:
         factor = max_norm / norm
         for t in params.values():
             if t.grad is not None:
@@ -201,43 +206,47 @@ def save_checkpoint(params, hyper, vocab_hash, path):
 
 
 def load_checkpoint(path, expected_vocab_hash=None):
-    """(Parameters, Hyperparams, vocab_hash); verifies format and hash."""
+    """(Parameters, Hyperparams, vocab_hash); verifies format and hash. Each
+    tensor is read straight into its own array, so a load holds the file's
+    tensors once."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12:
-        raise CheckpointTruncatedError(f"{path}: file too short")
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic {raw[:4]!r}")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported version {version}")
-    header_len = struct.unpack("<I", raw[8:12])[0]
-    if len(raw) < 12 + header_len:
-        raise CheckpointTruncatedError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[12:12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"{path}: bad header: {exc}") from exc
-    hyper, vocab_hash, manifest = _check_header(header, path)
-    if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
-        raise CheckpointHashError(
-            f"{path}: checkpoint built against a different vocabulary")
-    data = raw[12 + header_len:]
-    tensors, offset = {}, 0
-    for entry in manifest:
-        if entry["offset"] != offset:
-            raise CheckpointFormatError(f"{path}: tensor {entry['name']} is not "
-                                        f"at offset {offset}")
-        end = offset + 4 * int(np.prod(entry["shape"]))
-        if end > len(data):
-            raise CheckpointTruncatedError(f"{path}: truncated tensor {entry['name']}")
-        arr = np.frombuffer(data[offset:end], dtype="<f4").reshape(entry["shape"])
-        if not np.isfinite(arr).all():
-            raise CheckpointFormatError(f"{path}: tensor {entry['name']} holds NaN or inf")
-        tensors[entry["name"]] = nm.Tensor(arr.copy())
-        offset = end
-    if offset != len(data):
-        raise CheckpointFormatError(f"{path}: {len(data) - offset} trailing bytes")
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(12)
+        if len(preamble) < 12:
+            raise CheckpointTruncatedError(f"{path}: file too short")
+        if preamble[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError(f"{path}: bad magic {preamble[:4]!r}")
+        version, header_len = struct.unpack("<II", preamble[4:])
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(f"{path}: unsupported version {version}")
+        if size < 12 + header_len:
+            raise CheckpointTruncatedError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointFormatError(f"{path}: bad header: {exc}") from exc
+        hyper, vocab_hash, manifest = _check_header(header, path)
+        if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
+            raise CheckpointHashError(
+                f"{path}: checkpoint built against a different vocabulary")
+        data_len = size - 12 - header_len
+        tensors, offset = {}, 0
+        for entry in manifest:
+            if entry["offset"] != offset:
+                raise CheckpointFormatError(f"{path}: tensor {entry['name']} is not "
+                                            f"at offset {offset}")
+            # sized from the file before allocating, so a forged shape cannot
+            # ask for more memory than the file holds
+            end = offset + 4 * int(np.prod(entry["shape"]))
+            arr = np.empty(entry["shape"], dtype="<f4") if end <= data_len else None
+            if arr is None or fh.readinto(arr) != arr.nbytes:
+                raise CheckpointTruncatedError(f"{path}: truncated tensor {entry['name']}")
+            if not np.isfinite(arr).all():
+                raise CheckpointFormatError(f"{path}: tensor {entry['name']} holds NaN or inf")
+            tensors[entry["name"]] = nm.Tensor(arr)
+            offset = end
+    if offset != data_len:
+        raise CheckpointFormatError(f"{path}: {data_len - offset} trailing bytes")
     return Parameters(tensors), hyper, vocab_hash
 
 

@@ -41,9 +41,6 @@ class Vocabulary:
     def id_of(self, token):
         return self.token_to_id.get(token, UNK)
 
-    def token_of(self, idx):
-        return self.id_to_token[idx]
-
     def content_hash(self):
         h = hashlib.sha256()
         for t in self.id_to_token:

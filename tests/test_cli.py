@@ -292,6 +292,35 @@ def test_count_flags_below_one_are_usage_errors(workdir, capsys, argv):
     assert err.startswith("error kind=usage")
 
 
+SUBPARSERS = cli.build_parser()[1]
+
+
+def _flag_values(command):
+    """(command, arbitrary text for some of its typed and choice flags)."""
+    typed = [a.option_strings[0] for a in SUBPARSERS[command]._actions
+             if a.option_strings and (a.type or a.choices)]
+    text = st.one_of(st.text(), st.integers().map(str), st.floats().map(str))
+    return st.tuples(st.just(command),
+                     st.dictionaries(st.sampled_from(typed), text, min_size=1))
+
+
+@settings(max_examples=200)
+@given(case=st.sampled_from(sorted(SUBPARSERS)).flatmap(_flag_values))
+def test_arbitrary_flag_values_end_in_one_error_line(fuzzdir, case):
+    # every required flag names a missing path, so a value that a flag
+    # accepts still ends the run at its first read
+    command, values = case
+    argv = [command] + [f"{flag}={value}" for flag, value in values.items()] + [
+        f"{a.option_strings[0]}={fuzzdir / 'missing' / a.dest}"
+        for a in SUBPARSERS[command]._actions if a.required]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (1, 2), argv
+    assert err.getvalue().count("\n") == 1 and _error_lines(err.getvalue()), err.getvalue()
+    assert out.getvalue() == ""
+
+
 def test_count_below_one_in_config_is_data_error(workdir, capsys, tmp_path):
     cfg = tmp_path / "c2q.cfg"
     cfg.write_text("beam=0\n")

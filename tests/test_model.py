@@ -559,7 +559,7 @@ def _stepwise_loss(example, params, hyper):
     for y_prev, y in zip(feed, target):
         step = decode_step(y_prev, state, enc, cov, example.ext_ids, example.ev, params, hyper)
         logp = nm.log(nm.clamp_min(nm.index(step.p_star, y), md.LOGPROB_FLOOR))
-        nll_terms.append(nm.neg(logp))
+        nll_terms.append(nm.scale(logp, -1.0))
         logps.append(float(logp.data))
         if hyper.coverage:
             cov_terms.append(nm.sum_all(nm.minimum(step.a, step.cov)))

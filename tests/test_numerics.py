@@ -25,7 +25,7 @@ def test_linear_backward_outer_product():
     x = Tensor([1.0, 2.0])
     w = Tensor([[0.5, -0.5], [1.5, 2.0]])
     y = nm.matmul(w, x)
-    loss = nm.dot(y, Tensor([3.0, -1.0]))  # upstream grad g = [3, -1]
+    loss = nm.matmul(y, Tensor([3.0, -1.0]))  # upstream grad g = [3, -1]
     loss.backward()
     assert np.allclose(w.grad, np.outer([3.0, -1.0], [1.0, 2.0]))
 
@@ -68,12 +68,12 @@ def test_backward_folds_factored_and_row_gradients():
         def loss():
             x1 = nm.index(E, 2)
             M = nm.tanh(A)
-            terms = [nm.dot(Tensor(u1), nm.matmul(W, x1)),
-                     nm.dot(Tensor(u2), nm.matmul(W, x2)),
-                     nm.dot(nm.matmul(y, W), Tensor(u3)),
-                     nm.dot(Tensor(u4), nm.matmul(M, x3)),
-                     nm.dot(nm.matmul(z, M), Tensor(u5)),
-                     nm.dot(x1, Tensor(v1)),
+            terms = [nm.matmul(Tensor(u1), nm.matmul(W, x1)),
+                     nm.matmul(Tensor(u2), nm.matmul(W, x2)),
+                     nm.matmul(nm.matmul(y, W), Tensor(u3)),
+                     nm.matmul(Tensor(u4), nm.matmul(M, x3)),
+                     nm.matmul(nm.matmul(z, M), Tensor(u5)),
+                     nm.matmul(x1, Tensor(v1)),
                      nm.sum_all(nm.mul(nm.index(E, slice(1, 3)), Tensor(V2))),
                      nm.sum_all(nm.mul(nm.gather_rows(E, ids), Tensor(V3)))]
             return nm.add_n(terms)
@@ -228,7 +228,7 @@ def test_composed_graph_gradcheck():
 
         def f():
             p = nm.softmax(nm.tanh(nm.matmul(w, x)))
-            return nm.dot(nm.log(nm.clamp_min(p, 1e-12)), v)
+            return nm.matmul(nm.log(nm.clamp_min(p, 1e-12)), v)
 
         err = nm.finite_diff_check(f, [w, x, v], epsilon=1e-6)
     assert err < 1e-4

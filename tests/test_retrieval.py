@@ -9,7 +9,7 @@ from c2q.corpus import QCPair
 from c2q.numerics import Rng
 from c2q.retrieval import (CodeEmbedding, EmbeddedCorpus, TfidfIndex,
                            code_similarity, dedup_testset, embed_code,
-                           embed_corpus, ir_baseline, topk_similar)
+                           embed_corpus, topk_similar)
 from c2q.vocab import build_vocab
 
 
@@ -25,28 +25,28 @@ def small_vocab():
 def test_ir_self_retrieval():
     docs = [(1, ["a", "b", "c"], ["t1"]), (2, ["d", "e"], ["t2"])]
     index = TfidfIndex(docs)
-    result = ir_baseline(["a", "b", "c"], index)
+    result = index.query(["a", "b", "c"])
     assert result.matched and result.doc_id == 1
     assert result.score == pytest.approx(1.0)
 
 
 def test_ir_two_document_hand_example():
     index = TfidfIndex([(1, ["a", "b"], ["t1"]), (2, ["c", "d"], ["t2"])])
-    result = ir_baseline(["a"], index)
+    result = index.query(["a"])
     assert result.doc_id == 1
     assert result.title == ["t1"]
 
 
 def test_ir_unseen_tokens_no_match():
     index = TfidfIndex([(1, ["a", "b"], ["t1"])])
-    result = ir_baseline(["zzz"], index)
+    result = index.query(["zzz"])
     assert not result.matched
 
 
 def test_ir_bag_of_words_order_invariant():
     index = TfidfIndex([(1, ["a", "b", "c"], ["t1"]), (2, ["b", "d"], ["t2"])])
-    r1 = ir_baseline(["a", "b", "b"], index)
-    r2 = ir_baseline(["b", "a", "b"], index)
+    r1 = index.query(["a", "b", "b"])
+    r2 = index.query(["b", "a", "b"])
     assert (r1.doc_id, r1.score) == (r2.doc_id, r2.score)
 
 

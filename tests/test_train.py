@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,22 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, seed):
     for name in params.names():
         assert loaded[name].data.dtype == np.float32
         assert np.array_equal(loaded[name].data, params[name].data), name
+
+
+def test_checkpoint_load_holds_the_file_about_once(tmp_path):
+    hyper = small_hyper(embed_dim=32, hidden=64)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_parameters(hyper, 5000, Rng(0)), hyper, "h", str(path))
+    size = path.stat().st_size
+    assert size > 4_000_000
+    tracemalloc.start()
+    try:
+        loaded, _, _ = load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size, (peak, size)
+    assert all(t.data.flags.writeable for t in loaded.values())
 
 
 def test_checkpoint_gets_the_mode_of_a_plain_open(tmp_path):
@@ -368,6 +385,13 @@ def test_config_validation():
         TrainConfig(lr=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    for bad in (-1.0, -1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="grad_clip_norm"):
+            TrainConfig(grad_clip_norm=bad)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=bad)
+    assert TrainConfig(grad_clip_norm=0.0).grad_clip_norm == 0.0
 
 
 def test_loss_finite_for_all_ablations():
