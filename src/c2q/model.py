@@ -21,6 +21,10 @@ from .vocab import END, START, UNK
 
 LOGPROB_FLOOR = 1e-12
 
+# A Stack Overflow title has at most 150 characters. A larger decode length
+# from a checkpoint header would make generate and evaluate run unbounded.
+MAX_DECODE_LEN = 256
+
 ABLATION_FLAGS = frozenset({"attention", "copy", "coverage"})
 
 ABLATION_PRESETS = {
@@ -60,6 +64,8 @@ class Hyperparams:
         for dim in ("embed_dim", "hidden", "max_decode_len"):
             if getattr(self, dim) < 1:
                 raise ValueError(f"{dim} must be >= 1")
+        if self.max_decode_len > MAX_DECODE_LEN:
+            raise ValueError(f"max_decode_len must be <= {MAX_DECODE_LEN}")
 
     @property
     def attention(self):

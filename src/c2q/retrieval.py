@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -132,23 +132,62 @@ class EmbeddedCorpus:
     pairs: list
     matrix: np.ndarray
 
-    def similarities(self, query):
-        """code_similarity of a query embedding to each pair, by rows."""
-        d = self.matrix - query.vector
+    def similarities(self, query, rows=slice(None)):
+        """code_similarity of a query embedding to each pair, by rows (or
+        to the pairs at ``rows``: a row's value does not depend on which
+        other rows are scored)."""
+        d = self.matrix[rows] - query.vector
         np.multiply(d, d, out=d)
         return 1.0 - np.sqrt(d.sum(axis=1))  # the row norms, as np.linalg.norm
 
 
 def embed_corpus(pairs, E, vocab, normalize=True):
-    """EmbeddedCorpus of ``pairs``, each embedded once by embed_code."""
-    M = np.empty((len(pairs), np.shape(E)[1]))
+    """EmbeddedCorpus of ``pairs``; each row is bit for bit embed_code's
+    vector, summed and normalized in place in the corpus matrix."""
+    E64 = np.asarray(E, dtype=np.float64)
+    M = np.empty((len(pairs), E64.shape[1]))
     kept = []
-    for pair in pairs:
-        emb = embed_code(pair.code_tokens, E, vocab, normalize)
-        if not emb.zero:
-            M[len(kept)] = emb.vector
-            kept.append(pair)
+    for start in range(0, len(pairs), 1000):
+        chunk = pairs[start:start + 1000]
+        ids = np.fromiter(map(vocab.token_to_id.get,  # -1 for an OOV token
+                              chain.from_iterable(p.code_tokens for p in chunk), repeat(-1)),
+                          np.intp)
+        ends = np.cumsum([len(p.code_tokens) for p in chunk]).tolist()
+        for pair, begin, end in zip(chunk, [0] + ends, ends):
+            seg = ids[begin:end]
+            row = M[len(kept)]  # a pair with a zero sum is overwritten by the next
+            np.add.reduce(E64.take(seg[seg >= 0], axis=0), axis=0, out=row)
+            norm = math.sqrt(row.dot(row))  # np.linalg.norm's order
+            if norm != 0.0:
+                if normalize:
+                    row /= norm
+                kept.append(pair)
     return EmbeddedCorpus(kept, M[:len(kept)])
+
+
+def _max_similarities(corpus, queries):
+    """``corpus.similarities(q).max()`` for each query, bit for bit. A
+    product gives D = ‖m‖² + ‖q‖² − 2·m·q, within β = 2γ(‖m‖ + ‖q‖)² of the
+    row formula (γ = nu/(1 − nu), n = d + 3, u = 2⁻⁵³; 2β is used), so only
+    rows whose D − β reaches the least D + β are rescored; a NaN keeps all."""
+    M = corpus.matrix
+    sq = np.einsum("ij,ij->i", M, M)
+    norms = np.sqrt(sq)
+    nu = (M.shape[1] + 3) * 2.0 ** -53
+    scale = 4.0 * nu / (1.0 - nu)
+    sims = []
+    for start in range(0, len(queries), 64):  # a (64, N) product at most
+        block = queries[start:start + 64]
+        products = np.array([q.vector for q in block]) @ M.T
+        for q, dot in zip(block, products):
+            qq = q.vector.dot(q.vector)
+            dist = sq + qq - 2.0 * dot
+            beta = norms + math.sqrt(qq)
+            beta *= beta
+            beta *= scale
+            rows = np.flatnonzero(~(dist - beta > np.min(dist + beta)))
+            sims.append(float(corpus.similarities(q, rows).max()))
+    return sims
 
 
 def dedup_testset(train_pairs, test_pairs, E, vocab, delta=0.8, normalize=True):
@@ -158,14 +197,15 @@ def dedup_testset(train_pairs, test_pairs, E, vocab, delta=0.8, normalize=True):
     corpus = embed_corpus(train_pairs, E, vocab, normalize)
     if not corpus.pairs:  # nothing to compare with: every test pair stays
         return list(test_pairs), [], DedupReport(buckets, 0, len(test_pairs), delta)
+    embs = [embed_code(pair.code_tokens, E, vocab, normalize) for pair in test_pairs]
+    max_sims = iter(_max_similarities(corpus, [emb for emb in embs if not emb.zero]))
     clean, removed, unembeddable = [], [], 0
-    for pair in test_pairs:
-        emb = embed_code(pair.code_tokens, E, vocab, normalize)
+    for pair, emb in zip(test_pairs, embs):
         if emb.zero:
             unembeddable += 1
             clean.append(pair)
             continue
-        max_sim = float(corpus.similarities(emb).max())
+        max_sim = next(max_sims)
         buckets[_bucket(max_sim)] += 1
         (removed if max_sim >= delta else clean).append(pair)
     return clean, removed, DedupReport(buckets=buckets, removed=len(removed), kept=len(clean),

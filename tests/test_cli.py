@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -136,18 +137,24 @@ def test_retrieve_embeds_the_corpus_once(workdir, capsys, tmp_path, monkeypatch)
     queries = [p.code_tokens for p in pairs[:3]]
     snippets = tmp_path / "snippets.jsonl"
     snippets.write_text("".join(json.dumps({"code_tokens": q}) + "\n" for q in queries))
-    calls = []
-    embed_code = retrieval.embed_code
+    calls = {"embed_code": 0, "embed_corpus": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return embed_code(*args, **kwargs)
+    def counting(name):
+        embed = getattr(retrieval, name)
 
-    monkeypatch.setattr(retrieval, "embed_code", counting)
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return embed(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(retrieval, name, counting(name))
     assert run(["retrieve", "--train-pairs", workdir["train"],
                 "--vocab", workdir["vocab"], "--checkpoint", workdir["ckpt"],
                 "--input", str(snippets), "--top", "4"]) == 0
-    assert len(calls) == len(pairs) + len(queries)
+    # one corpus embedding per command, one embed_code per query; the rows
+    # of embed_corpus equal embed_code's bit for bit (test_retrieval.py)
+    assert calls == {"embed_code": len(queries), "embed_corpus": 1}
     # the same lines as a fresh topk_similar over the pairs for each snippet
     vocab = Vocabulary.load(workdir["vocab"])
     E = load_checkpoint(workdir["ckpt"])[0]["E"].data
@@ -620,3 +627,76 @@ def test_vocab_and_config_files_exit_cleanly_on_arbitrary_input(workdir, fuzzdir
                       "--report", str(fuzzdir / "report.json")],
             "retrieve": retrieve + ["--vocab", workdir["vocab"]]}[kind]
     _assert_clean_exit(argv + (["--config", path] if kind != "vocab" else []))
+
+
+# Checkpoint fuzzing: the fixture's checkpoint cut short, with one byte
+# flipped anywhere (preamble, header or tensor data), or with one header
+# field replaced by an arbitrary JSON value or deleted (the header length
+# rewritten to match), fed to every command that loads a checkpoint.
+def _rewrite_header(raw, edit):
+    """Checkpoint bytes ``raw`` with the header JSON passed through ``edit``
+    and the header length rewritten to match."""
+    header_len = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12:12 + header_len])
+    edit(header)
+    text = json.dumps(header).encode()
+    return raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + header_len:]
+
+
+def _damaged_checkpoint(data, raw):
+    how = data.draw(st.sampled_from(["truncate", "flip", "header"]))
+    if how == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    if how == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+
+    def edit(header):
+        paths = ([[key] for key in header]
+                 + [["hyperparams", key] for key in header["hyperparams"]]
+                 + [["manifest", i] for i in range(len(header["manifest"]))]
+                 + [["manifest", i, key] for i, entry in enumerate(header["manifest"])
+                    for key in entry])
+        *parents, key = data.draw(st.sampled_from(paths))
+        node = header
+        for step in parents:
+            node = node[step]
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUE)
+    return _rewrite_header(raw, edit)
+
+
+def test_checkpoint_asking_for_an_endless_decode_is_data_error(workdir, capsys, tmp_path):
+    # evaluate decodes up to the header's max_decode_len: 2**64 is refused, not run
+    with open(workdir["ckpt"], "rb") as fh:
+        raw = fh.read()
+    ckpt = tmp_path / "long.ckpt"
+    ckpt.write_bytes(_rewrite_header(
+        raw, lambda header: header["hyperparams"].update(max_decode_len=2 ** 64)))
+    assert run(["evaluate", "--checkpoint", str(ckpt), "--vocab", workdir["vocab"],
+                "--test-pairs", workdir["test"], "--greedy"]) == 2
+    err = capsys.readouterr().err
+    assert len(_error_lines(err)) == 1 and "max_decode_len" in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoints_exit_cleanly(workdir, fuzzdir, data):
+    with open(workdir["ckpt"], "rb") as fh:
+        raw = fh.read()
+    ckpt = str(fuzzdir / "damaged.ckpt")
+    with open(ckpt, "wb") as fh:
+        fh.write(_damaged_checkpoint(data, raw))
+    snippets = str(fuzzdir / "snippets.jsonl")
+    with open(snippets, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"code": "x = foo(1)"}) + "\n")
+    common = ["--checkpoint", ckpt, "--vocab", workdir["vocab"]]
+    for argv in (["generate", "--input", snippets, "--greedy"],
+                 ["evaluate", "--test-pairs", workdir["test"], "--greedy"],
+                 ["retrieve", "--train-pairs", workdir["train"], "--input", snippets],
+                 ["dedup", "--train-pairs", workdir["train"], "--test-pairs", workdir["test"],
+                  "--out-pairs", str(fuzzdir / "clean.jsonl"),
+                  "--report", str(fuzzdir / "report.json")]):
+        _assert_clean_exit(argv + common)

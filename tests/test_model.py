@@ -24,6 +24,12 @@ def test_hyperparams_reject_max_decode_len_below_one():
                 Hyperparams(**{dim: bad})
 
 
+def test_hyperparams_reject_max_decode_len_above_the_cap():
+    assert Hyperparams(max_decode_len=md.MAX_DECODE_LEN).max_decode_len == md.MAX_DECODE_LEN
+    with pytest.raises(ValueError, match="max_decode_len"):
+        Hyperparams(max_decode_len=md.MAX_DECODE_LEN + 1)
+
+
 def make_example(base_ids, ext_ids, oov, target, vocab_size, params):
     class FakeVocab:
         def __len__(self):

@@ -422,3 +422,15 @@ def test_packed_lstm_seq_rejects_bad_sizes():
         with pytest.raises(nm.ShapeError):
             nm.lstm_seq(Tensor(np.zeros(x)), Tensor(np.zeros(state)), Tensor(np.zeros(state)),
                         w, u, b, sizes=sizes)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_outer_sum_equals_transposed_product_bitwise(dtype, rows):
+    rng = Rng(rows)
+    for m, n in [(1024, 300), (64, 1), (3, 5)]:
+        left = rng.uniform(-1, 1, (rows, m)).astype(dtype)
+        right = rng.uniform(-1, 1, (rows, n)).astype(dtype)
+        got = nm._outer_sum(left, right)
+        assert got.dtype == dtype
+        assert np.array_equal(got, left.T @ right)

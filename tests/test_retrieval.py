@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c2q.corpus import QCPair
-from c2q.numerics import Rng
-from c2q.retrieval import (CodeEmbedding, EmbeddedCorpus, TfidfIndex,
-                           code_similarity, dedup_testset, embed_code,
-                           embed_corpus, topk_similar)
+from c2q.numerics import Rng, use_dtype
+from c2q.retrieval import (BUCKET_LABELS, CodeEmbedding, EmbeddedCorpus,
+                           TfidfIndex, _bucket, _max_similarities, code_similarity,
+                           dedup_testset,
+                           embed_code, embed_corpus, topk_similar)
 from c2q.vocab import build_vocab
 
 
@@ -309,3 +310,96 @@ def test_postings_equal_vectorize_cases(docs):
     index = TfidfIndex(docs)
     _assert_postings_match_vectorize(index, docs)
     assert index.query(["zzz"]).matched is False
+
+
+# The corpus fast paths against per-pair references. "zzz" is out of
+# vocabulary; -0.0 entries in E would show a sum that starts from +0.0.
+CODES = st.lists(TOKENS, max_size=8)
+
+
+def _embedding_matrix(seed, dtype, scale=1.0):
+    # drawn in float64: float32 entries sum exactly in float64, in any order
+    with use_dtype(np.float64):
+        E = Rng(seed).uniform(-1, 1, (len(small_vocab()), 8)) * scale
+    E[E < -0.9 * scale] = -0.0
+    return E.astype(dtype)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes=st.lists(CODES, min_size=1, max_size=12), tile=st.booleans(),
+       seed=st.integers(0, 1000), normalize=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_embed_corpus_rows_equal_embed_code_bitwise(codes, tile, seed, normalize, dtype):
+    if tile:  # more pairs than one chunk of the corpus pass
+        codes = codes * (1 + 1100 // len(codes))
+    vocab, E = small_vocab(), _embedding_matrix(seed, dtype)
+    pairs = [pair(i, code) for i, code in enumerate(codes)]
+    embs = [embed_code(p.code_tokens, E, vocab, normalize) for p in pairs]
+    corpus = embed_corpus(pairs, E, vocab, normalize)
+    assert [p.id for p in corpus.pairs] == [p.id for p, e in zip(pairs, embs) if not e.zero]
+    assert corpus.matrix.shape == (len(corpus.pairs), 8)
+    assert corpus.matrix.tobytes() == b"".join(e.vector.tobytes() for e in embs if not e.zero)
+
+
+def _dedup_scan(train, test, E, vocab, delta, normalize):
+    """(clean ids, removed ids, report dict, max similarities) from every
+    training embedding, scanned for each test pair: the reference."""
+    rows = [e.vector for p in train
+            if not (e := embed_code(p.code_tokens, E, vocab, normalize)).zero]
+    buckets = {label: 0 for label in BUCKET_LABELS}
+    clean, removed, sims, unembeddable = [], [], [], 0
+    for p in test:
+        q = embed_code(p.code_tokens, E, vocab, normalize)
+        if not rows or q.zero:  # unembeddable only against a non-empty corpus
+            unembeddable += bool(rows)
+            clean.append(p.id)
+            continue
+        max_sim = float(np.max(1.0 - np.linalg.norm(np.array(rows) - q.vector, axis=1)))
+        sims.append(max_sim)
+        buckets[_bucket(max_sim)] += 1
+        (removed if max_sim >= delta else clean).append(p.id)
+    report = {"buckets": buckets, "removed": len(removed), "kept": len(clean),
+              "delta": delta, "unembeddable": unembeddable}
+    return clean, removed, report, sims
+
+
+@st.composite
+def dedup_cases(draw):
+    """Training snippets, some of them reordered copies of others (sums
+    equal up to rounding), and test snippets that are new, exact copies of
+    a training snippet, or its tokens reordered."""
+    # three tokens or more, or every order of a snippet sums alike
+    train = draw(st.lists(st.one_of(CODES, st.lists(TOKENS, min_size=3, max_size=8)),
+                          min_size=1, max_size=12))
+    copied = st.sampled_from(train)
+    train += draw(st.lists(copied.flatmap(st.permutations), max_size=6))
+    test = draw(st.lists(st.one_of(CODES, copied, copied.flatmap(st.permutations)),
+                         min_size=1, max_size=10))
+    if draw(st.booleans()):  # more test pairs than one product block
+        test = test * (1 + 70 // len(test))
+    return train, test
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=dedup_cases(), seed=st.integers(0, 1000), normalize=st.booleans(),
+       scale=st.sampled_from([1e-3, 1e-1, 1.0, 10.0, 1e3]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       delta=st.one_of(st.floats(0.0, 1.2), st.integers(0, 100)))
+def test_dedup_matches_per_query_scan(case, seed, normalize, scale, dtype, delta):
+    vocab, E = small_vocab(), _embedding_matrix(seed, dtype, scale)
+    train = [pair(i, code) for i, code in enumerate(case[0])]
+    test = [pair(100 + i, code) for i, code in enumerate(case[1])]
+    if isinstance(delta, int):  # a reference max_sim: removed, as >= delta
+        sims = _dedup_scan(train, test, E, vocab, 0.8, normalize)[3]
+        delta = sims[delta % len(sims)] if sims else 0.8
+    clean, removed, report = dedup_testset(train, test, E, vocab, delta, normalize)
+    want_clean, want_removed, want_report, want_sims = _dedup_scan(train, test, E, vocab,
+                                                                   delta, normalize)
+    assert [p.id for p in clean] == want_clean
+    assert [p.id for p in removed] == want_removed
+    assert report.as_dict() == want_report
+    # the maxima themselves, bit for bit, not only as buckets and removals
+    queries = [e for p in test if not (e := embed_code(p.code_tokens, E, vocab, normalize)).zero]
+    corpus = embed_corpus(train, E, vocab, normalize)
+    if corpus.pairs:
+        assert _max_similarities(corpus, queries) == want_sims
