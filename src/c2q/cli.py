@@ -121,7 +121,6 @@ def _add_common(p):
 def _hyper_flags(p):
     p.add_argument("--embed-dim", type=_count, default=300)
     p.add_argument("--hidden", type=_count, default=256)
-    p.add_argument("--vocab-min-freq", type=_size, default=1)
     p.add_argument("--lambda-cov", type=_amount, default=1.0)
     p.add_argument("--ablation", choices=sorted(ABLATION_PRESETS), default="full")
     p.add_argument("--max-len", type=_count, default=16)
@@ -129,7 +128,6 @@ def _hyper_flags(p):
 
 def _hyper_from_args(args):
     return Hyperparams(embed_dim=args.embed_dim, hidden=args.hidden,
-                       vocab_min_freq=args.vocab_min_freq,
                        lambda_cov=args.lambda_cov,
                        ablation=ABLATION_PRESETS[args.ablation],
                        max_decode_len=args.max_len)

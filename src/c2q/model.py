@@ -40,7 +40,6 @@ ABLATION_PRESETS = {
 class Hyperparams:
     embed_dim: int = 300
     hidden: int = 256
-    vocab_min_freq: int = 1
     lambda_cov: float = 1.0
     ablation: frozenset = ABLATION_PRESETS["full"]
     max_decode_len: int = 16
@@ -58,9 +57,6 @@ class Hyperparams:
         if (isinstance(lam, bool) or not isinstance(lam, (int, float))
                 or not math.isfinite(lam) or lam < 0):
             raise ValueError(f"lambda_cov must be a finite number >= 0, not {lam!r}")
-        if type(self.vocab_min_freq) is not int or self.vocab_min_freq < 0:
-            raise ValueError(f"vocab_min_freq must be an integer >= 0, not "
-                             f"{self.vocab_min_freq!r}")
         for dim in ("embed_dim", "hidden", "max_decode_len"):
             if getattr(self, dim) < 1:
                 raise ValueError(f"{dim} must be >= 1")

@@ -218,43 +218,31 @@ def add_n(tensors):
 def matmul(a, b):
     a, b = _wrap(a), _wrap(b)
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} not conformable")
-
+    ranks = ad.ndim, bd.ndim
+    if ranks == (2, 1):
         def bw(g):
             return _Factors(g, bd), ad.T @ g
 
-    elif ad.ndim == 3 and bd.ndim == 1:  # a stack of matrices, one vector
-        if ad.shape[2] != bd.shape[0]:
-            raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} not conformable")
-
+    elif ranks == (3, 1):  # a stack of matrices, one vector
         def bw(g):
             return g[..., None] * bd, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1)
 
-    elif ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} not conformable")
-
+    elif ranks == (1, 2):
         def bw(g):
             return bd @ g, _Factors(ad, g)
 
-    elif ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} not conformable")
-
+    elif ranks == (2, 2):
         def bw(g):
             return g @ bd.T, ad.T @ g
 
-    elif ad.ndim == 1 and bd.ndim == 1:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} not conformable")
-
+    elif ranks == (1, 1):
         def bw(g):
             return g * bd, g * ad
 
     else:
         raise ShapeError(f"matmul unsupported ranks {ad.shape} @ {bd.shape}")
+    if ad.shape[-1] != bd.shape[0]:
+        raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} not conformable")
     return Tensor(ad @ bd, (a, b), bw)
 
 

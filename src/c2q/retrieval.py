@@ -128,15 +128,22 @@ def _bucket(sim):
 @dataclass
 class EmbeddedCorpus:
     """The pairs of a corpus that have an embedding, their embeddings kept as
-    the rows of one matrix, for many queries."""
+    the rows of one matrix, with each row's squared norm and each pair's id,
+    for many queries."""
     pairs: list
     matrix: np.ndarray
+    sq: np.ndarray = field(init=False)
+    ids: np.ndarray = field(init=False)
 
-    def similarities(self, query, rows=slice(None)):
-        """code_similarity of a query embedding to each pair, by rows (or
-        to the pairs at ``rows``: a row's value does not depend on which
+    def __post_init__(self):
+        self.sq = np.einsum("ij,ij->i", self.matrix, self.matrix)
+        self.ids = np.array([p.id for p in self.pairs])
+
+    def similarities(self, vector, rows=slice(None)):
+        """code_similarity of a query embedding vector to each pair, by rows
+        (or to the pairs at ``rows``: a row's value does not depend on which
         other rows are scored)."""
-        d = self.matrix[rows] - query.vector
+        d = self.matrix[rows] - vector
         np.multiply(d, d, out=d)
         return 1.0 - np.sqrt(d.sum(axis=1))  # the row norms, as np.linalg.norm
 
@@ -165,29 +172,34 @@ def embed_corpus(pairs, E, vocab, normalize=True):
     return EmbeddedCorpus(kept, M[:len(kept)])
 
 
-def _max_similarities(corpus, queries):
-    """``corpus.similarities(q).max()`` for each query, bit for bit. A
-    product gives D = ‖m‖² + ‖q‖² − 2·m·q, within β = 2γ(‖m‖ + ‖q‖)² of the
-    row formula (γ = nu/(1 − nu), n = d + 3, u = 2⁻⁵³; 2β is used), so only
-    rows whose D − β reaches the least D + β are rescored; a NaN keeps all."""
-    M = corpus.matrix
-    sq = np.einsum("ij,ij->i", M, M)
+def _nearest(corpus, queries, k):
+    """(rows, sims) of the k best corpus rows for each query row, by
+    (-similarity, id, corpus order), as ``corpus.similarities`` scores them.
+    A product gives D = ‖m‖² + ‖q‖² − 2·m·q, within β = 2γ(‖m‖ + ‖q‖)² of
+    the row formula (γ = nu/(1 − nu), n = d + 3, u = 2⁻⁵³; 2β is used), so a
+    similarity lies in [1 − √(D + β), 1 − √(D − β)]. Only rows whose upper
+    end reaches the k-th largest lower end are rescored; NaN rows are kept."""
+    M, sq = corpus.matrix, corpus.sq
     norms = np.sqrt(sq)
     nu = (M.shape[1] + 3) * 2.0 ** -53
     scale = 4.0 * nu / (1.0 - nu)
-    sims = []
+    kth = -min(k, len(M))
+    found = []
     for start in range(0, len(queries), 64):  # a (64, N) product at most
         block = queries[start:start + 64]
-        products = np.array([q.vector for q in block]) @ M.T
-        for q, dot in zip(block, products):
-            qq = q.vector.dot(q.vector)
+        for q, dot in zip(block, block @ M.T):
+            qq = q.dot(q)
             dist = sq + qq - 2.0 * dot
             beta = norms + math.sqrt(qq)
             beta *= beta
             beta *= scale
-            rows = np.flatnonzero(~(dist - beta > np.min(dist + beta)))
-            sims.append(float(corpus.similarities(q, rows).max()))
-    return sims
+            low = 1.0 - np.sqrt(dist + beta)
+            high = 1.0 - np.sqrt(np.maximum(dist - beta, 0.0))
+            rows = np.flatnonzero(~(high < np.partition(low, kth)[kth]))
+            sims = corpus.similarities(q, rows)
+            order = np.lexsort((corpus.ids[rows], -sims))[:k]  # stable: corpus order
+            found.append((rows[order], sims[order]))
+    return found
 
 
 def dedup_testset(train_pairs, test_pairs, E, vocab, delta=0.8, normalize=True):
@@ -197,11 +209,12 @@ def dedup_testset(train_pairs, test_pairs, E, vocab, delta=0.8, normalize=True):
     corpus = embed_corpus(train_pairs, E, vocab, normalize)
     if not corpus.pairs:  # nothing to compare with: every test pair stays
         return list(test_pairs), [], DedupReport(buckets, 0, len(test_pairs), delta)
-    embs = [embed_code(pair.code_tokens, E, vocab, normalize) for pair in test_pairs]
-    max_sims = iter(_max_similarities(corpus, [emb for emb in embs if not emb.zero]))
+    test = embed_corpus(test_pairs, E, vocab, normalize)
+    max_sims = (float(sims[0]) for _, sims in _nearest(corpus, test.matrix, 1))
+    embedded = set(map(id, test.pairs))
     clean, removed, unembeddable = [], [], 0
-    for pair, emb in zip(test_pairs, embs):
-        if emb.zero:
+    for pair in test_pairs:
+        if id(pair) not in embedded:
             unembeddable += 1
             clean.append(pair)
             continue
@@ -212,18 +225,17 @@ def dedup_testset(train_pairs, test_pairs, E, vocab, delta=0.8, normalize=True):
                                        delta=delta, unembeddable=unembeddable)
 
 
-def topk_similar(query_code_tokens, corpus_pairs, E, vocab, k, normalize=True):
+def topk_similar(query_code_tokens, corpus, E, vocab, k, normalize=True):
     """k (title, similarity, id) triples, descending similarity, ties by
-    lowest id. ``corpus_pairs`` may also be an EmbeddedCorpus made by
-    ``embed_corpus`` with the same E, vocab and normalize."""
+    lowest id, from an EmbeddedCorpus made by ``embed_corpus`` with the same
+    E, vocab and normalize."""
     if k < 1:
         raise ValueError("k must be >= 1")
     query = embed_code(query_code_tokens, E, vocab, normalize)
     if query.zero:
         raise ValueError("topk_similar: query has no in-vocabulary tokens")
-    corpus = (corpus_pairs if isinstance(corpus_pairs, EmbeddedCorpus)
-              else embed_corpus(corpus_pairs, E, vocab, normalize))
-    sims = corpus.similarities(query)
-    order = np.lexsort(([p.id for p in corpus.pairs], -sims))[:k]
-    return [(corpus.pairs[i].title_tokens, float(sims[i]), corpus.pairs[i].id)
-            for i in order]
+    if not corpus.pairs:
+        return []
+    rows, sims = _nearest(corpus, query.vector[None], k)[0]
+    return [(corpus.pairs[i].title_tokens, sim, corpus.pairs[i].id)
+            for i, sim in zip(rows.tolist(), sims.tolist())]

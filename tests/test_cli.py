@@ -138,6 +138,7 @@ def test_retrieve_embeds_the_corpus_once(workdir, capsys, tmp_path, monkeypatch)
     snippets = tmp_path / "snippets.jsonl"
     snippets.write_text("".join(json.dumps({"code_tokens": q}) + "\n" for q in queries))
     calls = {"embed_code": 0, "embed_corpus": 0}
+    embed_code = retrieval.embed_code
 
     def counting(name):
         embed = getattr(retrieval, name)
@@ -155,12 +156,20 @@ def test_retrieve_embeds_the_corpus_once(workdir, capsys, tmp_path, monkeypatch)
     # one corpus embedding per command, one embed_code per query; the rows
     # of embed_corpus equal embed_code's bit for bit (test_retrieval.py)
     assert calls == {"embed_code": len(queries), "embed_corpus": 1}
-    # the same lines as a fresh topk_similar over the pairs for each snippet
+    # the same lines as a row-wise scan of every pair's embed_code for each
+    # snippet, ranked by descending similarity, ties by lowest id
     vocab = Vocabulary.load(workdir["vocab"])
     E = load_checkpoint(workdir["ckpt"])[0]["E"].data
-    assert capsys.readouterr().out == "".join(
-        f"{sim:.4f}\t{doc_id}\t{' '.join(title)}\n" for q in queries
-        for title, sim, doc_id in retrieval.topk_similar(q, pairs, E, vocab, 4))
+    embedded = [(p, e.vector) for p in pairs
+                if not (e := embed_code(p.code_tokens, E, vocab)).zero]
+    M = np.array([vector for _, vector in embedded])
+    want = []
+    for q in queries:
+        sims = 1.0 - np.linalg.norm(M - embed_code(q, E, vocab).vector, axis=1)
+        for i in np.lexsort(([p.id for p, _ in embedded], -sims))[:4]:
+            p = embedded[i][0]
+            want.append(f"{sims[i]:.4f}\t{p.id}\t{' '.join(p.title_tokens)}\n")
+    assert capsys.readouterr().out == "".join(want)
 
 
 def test_missing_required_flag_is_usage_error(capsys):
@@ -280,9 +289,8 @@ def _error_lines(err):
     *[["train", "--train-pairs", "x.jsonl", "--checkpoint", "x.ckpt", flag, value]
       for flag, value in [("--epochs", "0"), ("--batch-size", "0"),
                           ("--embed-dim", "0"), ("--hidden", "0"),
-                          ("--vocab-min-freq", "-1"), ("--grad-clip", "-1"),
-                          ("--grad-clip", "nan"), ("--lr", "inf"),
-                          ("--lambda-cov", "nan")]],
+                          ("--grad-clip", "-1"), ("--grad-clip", "nan"),
+                          ("--lr", "inf"), ("--lambda-cov", "nan")]],
     ["dedup", "--train-pairs", "x.jsonl", "--test-pairs", "x.jsonl",
      "--out-pairs", "y.jsonl", "--report", "r.json", "--delta", "nan"],
     ["dedup", "--train-pairs", "x.jsonl", "--test-pairs", "x.jsonl",

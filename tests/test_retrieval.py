@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from c2q.corpus import QCPair
 from c2q.numerics import Rng, use_dtype
 from c2q.retrieval import (BUCKET_LABELS, CodeEmbedding, EmbeddedCorpus,
-                           TfidfIndex, _bucket, _max_similarities, code_similarity,
+                           TfidfIndex, _bucket, _nearest, code_similarity,
                            dedup_testset,
                            embed_code, embed_corpus, topk_similar)
 from c2q.vocab import build_vocab
@@ -147,7 +147,7 @@ def test_topk_self_query_first():
     vocab = small_vocab()
     E = Rng(6).uniform(-1, 1, (len(vocab), 8))
     corpus_pairs = [pair(1, ["a", "b"]), pair(2, ["c", "d"]), pair(3, ["e", "f"])]
-    results = topk_similar(["a", "b"], corpus_pairs, E, vocab, k=1)
+    results = topk_similar(["a", "b"], embed_corpus(corpus_pairs, E, vocab), E, vocab, k=1)
     assert len(results) == 1
     title, sim, doc_id = results[0]
     assert doc_id == 1
@@ -158,7 +158,7 @@ def test_topk_larger_than_corpus():
     vocab = small_vocab()
     E = Rng(7).uniform(-1, 1, (len(vocab), 8))
     corpus_pairs = [pair(1, ["a"]), pair(2, ["b"])]
-    results = topk_similar(["a"], corpus_pairs, E, vocab, k=10)
+    results = topk_similar(["a"], embed_corpus(corpus_pairs, E, vocab), E, vocab, k=10)
     assert len(results) == 2
     assert results[0][1] >= results[1][1]
 
@@ -172,7 +172,7 @@ def test_topk_matches_hand_ranking():
     expected = sorted(
         [(code_similarity(qe, embed_code(p.code_tokens, E, vocab)), p.id)
          for p in corpus_pairs], key=lambda t: (-t[0], t[1]))
-    results = topk_similar(query, corpus_pairs, E, vocab, k=3)
+    results = topk_similar(query, embed_corpus(corpus_pairs, E, vocab), E, vocab, k=3)
     assert [(r[2]) for r in results] == [pid for _, pid in expected]
     for r, (sim, _) in zip(results, expected):
         assert r[1] == pytest.approx(sim)
@@ -234,16 +234,15 @@ def test_topk_ids_match_sorting_by_code_similarity(codes, dups, query, k, seed,
     codes = codes + codes[:dups]
     corpus_pairs = [pair(len(codes) - i, code) for i, code in enumerate(codes)]
     qe = embed_code(query, E, vocab, normalize)
+    corpus = embed_corpus(corpus_pairs, E, vocab, normalize)
     if qe.zero:
         with pytest.raises(ValueError):
-            topk_similar(query, corpus_pairs, E, vocab, k, normalize)
+            topk_similar(query, corpus, E, vocab, k, normalize)
         return
     expected = sorted((-code_similarity(qe, emb), p.id) for p in corpus_pairs
                       if not (emb := embed_code(p.code_tokens, E, vocab, normalize)).zero)
-    results = topk_similar(query, corpus_pairs, E, vocab, k, normalize)
+    results = topk_similar(query, corpus, E, vocab, k, normalize)
     assert [doc_id for _, _, doc_id in results] == [pid for _, pid in expected[:k]]
-    assert topk_similar(query, embed_corpus(corpus_pairs, E, vocab, normalize),
-                        E, vocab, k, normalize) == results
     for (_, sim, _), (neg_sim, _) in zip(results, expected):
         assert abs(sim + neg_sim) <= 1e-12
 
@@ -255,14 +254,14 @@ def test_topk_corpus_without_embeddings_is_empty(codes, k):
     vocab = small_vocab()
     E = Rng(9).uniform(-1, 1, (len(vocab), 8))
     corpus_pairs = [pair(i, code) for i, code in enumerate(codes)]
-    assert topk_similar(["a"], corpus_pairs, E, vocab, k) == []
+    assert topk_similar(["a"], embed_corpus(corpus_pairs, E, vocab), E, vocab, k) == []
 
 
 def test_corpus_similarities_equal_numpy_norm_bitwise():
     rng = Rng(4)
     M = rng.uniform(-1, 1, (500, 37)).astype(np.float64)
     q = CodeEmbedding(rng.uniform(-1, 1, 37).astype(np.float64), zero=False)
-    sims = EmbeddedCorpus([], M).similarities(q)
+    sims = EmbeddedCorpus([], M).similarities(q.vector)
     assert np.array_equal(sims, 1.0 - np.linalg.norm(M - q.vector, axis=1))
 
 
@@ -402,4 +401,79 @@ def test_dedup_matches_per_query_scan(case, seed, normalize, scale, dtype, delta
     queries = [e for p in test if not (e := embed_code(p.code_tokens, E, vocab, normalize)).zero]
     corpus = embed_corpus(train, E, vocab, normalize)
     if corpus.pairs:
-        assert _max_similarities(corpus, queries) == want_sims
+        found = _nearest(corpus, np.array([q.vector for q in queries]), 1)
+        assert [float(sims[0]) for _, sims in found] == want_sims
+
+
+def _topk_scan(corpus_pairs, query, k):
+    """(rows, similarities) of the k best corpus rows for one query vector,
+    from the row formula 1 − √Σ(m − q)² over every row, ranked by
+    (−similarity, id, corpus order): the reference."""
+    M = np.array([vector for _, vector in corpus_pairs])
+    sims = 1.0 - np.sqrt(((M - query) ** 2).sum(axis=1))
+    rows = np.lexsort(([p.id for p, _ in corpus_pairs], -sims))[:k]
+    return rows.tolist(), sims[rows].tolist()
+
+
+@st.composite
+def neighbour_cases(draw):
+    """Corpus pairs, some of them reordered copies of others (sums equal up
+    to rounding) and some exact copies under another id or under the same
+    id, and queries that are new, exact copies of a corpus snippet, or its
+    tokens reordered. Ids are drawn, so corpus order is not id order."""
+    codes = draw(st.lists(st.one_of(CODES, st.lists(TOKENS, min_size=3, max_size=8)),
+                          min_size=1, max_size=12))
+    copied = st.sampled_from(codes)
+    codes += draw(st.lists(st.one_of(copied, copied.flatmap(st.permutations)), max_size=8))
+    ids = draw(st.lists(st.integers(0, len(codes)), min_size=len(codes), max_size=len(codes)))
+    docs = list(zip(ids, codes))
+    docs += draw(st.lists(st.sampled_from(docs), max_size=3))  # same id, same code
+    docs = draw(st.permutations(docs))
+    queries = draw(st.lists(st.one_of(CODES, copied, copied.flatmap(st.permutations)),
+                            min_size=1, max_size=6))
+    return [pair(pid, code, [f"t{i}"]) for i, (pid, code) in enumerate(docs)], queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=neighbour_cases(), seed=st.integers(0, 1000), normalize=st.booleans(),
+       scale=st.sampled_from([1e-3, 1e-1, 1.0, 10.0, 1e3]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       k=st.integers(1, 30), many=st.booleans())
+def test_topk_matches_a_full_row_formula_scan(case, seed, normalize, scale, dtype, k, many):
+    corpus_pairs, queries = case
+    vocab, E = small_vocab(), _embedding_matrix(seed, dtype, scale)
+    embedded = [(p, e.vector) for p in corpus_pairs
+                if not (e := embed_code(p.code_tokens, E, vocab, normalize)).zero]
+    queries = [(q, e.vector) for q in queries
+               if not (e := embed_code(q, E, vocab, normalize)).zero]
+    if not embedded or not queries:
+        return
+    corpus = embed_corpus(corpus_pairs, E, vocab, normalize)
+    for q, vector in queries:
+        rows, sims = _topk_scan(embedded, vector, k)
+        want = [(embedded[i][0].title_tokens, sim, embedded[i][0].id)
+                for i, sim in zip(rows, sims)]
+        assert topk_similar(q, corpus, E, vocab, k, normalize) == want
+    vectors = [vector for _, vector in queries]
+    if many:  # more queries than one 64-row product block
+        vectors = vectors * (1 + 130 // len(vectors))
+    found = _nearest(corpus, np.array(vectors), k)
+    assert len(found) == len(vectors)
+    for (rows, sims), vector in zip(found, vectors):
+        assert (rows.tolist(), sims.tolist()) == _topk_scan(embedded, vector, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4))
+def test_nearest_keeps_rows_whose_similarities_round_alike(seed, k):
+    # Rows within about 1e-13 of each other, relative to their norm of
+    # 1e-4, and a query at a distance like that norm: distances that the
+    # bound tells apart give the same similarity once 1 − √r is rounded, so
+    # the lowest id among them must still be found.
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1e-4, 1e-4, 8)
+    M = base + rng.uniform(-1e-4, 1e-4, (12, 8)) * 10.0 ** rng.uniform(-14, -11, (12, 1))
+    query = base + rng.uniform(-1e-4, 1e-4, 8)
+    corpus_pairs = [pair(12 - i, ["a"], [f"t{i}"]) for i in range(12)]
+    rows, sims = _nearest(EmbeddedCorpus(corpus_pairs, M), query[None], k)[0]
+    assert (rows.tolist(), sims.tolist()) == _topk_scan(list(zip(corpus_pairs, M)), query, k)

@@ -277,10 +277,6 @@ BAD_HEADERS = {
     "inf-lambda-cov": lambda h: {**h, "hyperparams": {**h["hyperparams"],
                                                       "lambda_cov": float("inf")}},
     "bool-lambda-cov": lambda h: {**h, "hyperparams": {**h["hyperparams"], "lambda_cov": True}},
-    "string-min-freq": lambda h: {**h, "hyperparams": {**h["hyperparams"],
-                                                       "vocab_min_freq": "x"}},
-    "negative-min-freq": lambda h: {**h, "hyperparams": {**h["hyperparams"],
-                                                         "vocab_min_freq": -1}},
     "missing-tensor": _edit_manifest(lambda m: m.pop()),
     "extra-tensor": _edit_manifest(lambda m: m.append(dict(m[-1], name="extra"))),
     "reordered": _edit_manifest(lambda m: m.reverse()),
@@ -304,6 +300,20 @@ def test_checkpoint_header_schema(tmp_path, mutate):
     _rewrite_header(path, mutate)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(str(path), "h")
+
+
+def test_checkpoint_with_an_unread_hyperparam_loads(tmp_path):
+    # headers written before vocab_min_freq was dropped from Hyperparams
+    # still carry it; only the fields Hyperparams has are read
+    hyper, params = random_params(6)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, hyper, "h", str(path))
+    _rewrite_header(path, lambda h: {**h, "hyperparams": {**h["hyperparams"],
+                                                          "vocab_min_freq": 1}})
+    loaded, loaded_hyper, _ = load_checkpoint(str(path), "h")
+    assert loaded_hyper == hyper
+    for name in params.names():
+        assert loaded[name].data.tobytes() == params[name].data.tobytes()
 
 
 @pytest.fixture(scope="module")
