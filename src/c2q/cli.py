@@ -18,7 +18,7 @@ from . import corpus, metrics, retrieval
 from .corpus import DataError, SplitSpec
 from .decode import beam_search, greedy_decode_full, resolve_unk
 from .files import replace_atomically
-from .model import ABLATION_PRESETS, Hyperparams, encode_example
+from .model import ABLATION_PRESETS, MAX_DECODE_LEN, Hyperparams, encode_example
 from .numerics import Rng
 from .train import (CheckpointError, TrainConfig, TrainingDivergedError,
                     load_checkpoint, train)
@@ -49,6 +49,14 @@ def _at_least(low, value):
 def _count(text):
     """argparse type for counts (beam width, dims, epochs, top-k): an int >= 1."""
     return _at_least(1, int(text))
+
+
+def _decode_len(text):
+    """argparse type for --max-len: an int in 1..MAX_DECODE_LEN."""
+    value = _count(text)
+    if value > MAX_DECODE_LEN:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DECODE_LEN}, got {value}")
+    return value
 
 
 def _size(text):
@@ -113,9 +121,10 @@ def _atomic_write_json(obj, path):
         fh.write("\n")
 
 
-def _add_common(p):
+def _add_common(p, seed=False):
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
 
 
 def _hyper_flags(p):
@@ -123,7 +132,7 @@ def _hyper_flags(p):
     p.add_argument("--hidden", type=_count, default=256)
     p.add_argument("--lambda-cov", type=_amount, default=1.0)
     p.add_argument("--ablation", choices=sorted(ABLATION_PRESETS), default="full")
-    p.add_argument("--max-len", type=_count, default=16)
+    p.add_argument("--max-len", type=_decode_len, default=16)
 
 
 def _hyper_from_args(args):
@@ -144,7 +153,7 @@ def build_parser():
         return subparsers[name]
 
     p = add_parser("preprocess", help="RawPost JSONL -> filtered QCPair splits")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--min-score", type=int, default=1)
@@ -159,7 +168,7 @@ def build_parser():
     p.add_argument("--max-size", type=_count, default=None)
 
     p = add_parser("train", help="train the model")
-    _add_common(p)
+    _add_common(p, seed=True)
     _hyper_flags(p)
     p.add_argument("--train-pairs", required=True)
     p.add_argument("--val-pairs")
@@ -179,7 +188,7 @@ def build_parser():
     p.add_argument("--lang", choices=corpus.LANGS, default="python")
     p.add_argument("--beam", type=_count, default=10)
     p.add_argument("--greedy", action="store_true")
-    p.add_argument("--max-len", type=_count, default=None)
+    p.add_argument("--max-len", type=_decode_len, default=None)
 
     p = add_parser("evaluate", help="model + test pairs -> score report JSON")
     _add_common(p)
@@ -197,7 +206,7 @@ def build_parser():
     p.add_argument("--out")
 
     p = add_parser("dedup", help="clone-detect test snippets against train")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--train-pairs", required=True)
     p.add_argument("--test-pairs", required=True)
     p.add_argument("--out-pairs", required=True)
@@ -211,7 +220,7 @@ def build_parser():
                    help="skip L2 normalization (fidelity mode)")
 
     p = add_parser("retrieve", help="top-k similar questions for a snippet")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--train-pairs", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--top", type=_count, default=3)

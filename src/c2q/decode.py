@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LOGPROB_FLOOR, decode_step, encode
+from .model import LOGPROB_FLOOR, MAX_DECODE_LEN, decode_step, encode
 from .numerics import Tensor
 from .vocab import END, START, UNK, UNK_TOKEN, decode_ids, encode_source
 
@@ -124,8 +124,8 @@ def beam_search(code_tokens, params, vocab, hyper, k=10, max_len=None):
         raise ValueError("beam size must be >= 1")
     if max_len is None:
         max_len = hyper.max_decode_len
-    elif max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    elif not 1 <= max_len <= MAX_DECODE_LEN:
+        raise ValueError(f"max_len must be in 1..{MAX_DECODE_LEN}")
     stepper, s0, cov0, ev = _model_stepper(code_tokens, params, vocab, hyper)
     pool = _beam(stepper, s0, cov0, k, max_len)
     results = []

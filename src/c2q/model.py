@@ -239,17 +239,15 @@ def _attention_keys(H, params):
 
 
 def attention_step(s_t, H, cov, params, mask=None, keys=None):
-    """(a_t, c_t): softmax attention over source rows of H and the weighted
-    context. ``s_t`` is one decoder state (h,) or a batch of rows (k, h),
-    with ``cov`` (M,) or (k, M) to match. ``cov`` of None means the
-    coverage term is dropped. ``keys`` are H·W_ehᵀ as ``encode`` computes
-    them once per source; None recomputes them."""
+    """(a_t, c_t) of decoder state rows ``s_t`` (k, h): attention rows
+    (k, M), each a softmax over the source rows of H, and the weighted
+    contexts (k, 2h). ``cov`` (k, M) holds the coverage rows; None drops
+    the coverage term. ``keys`` are H·W_ehᵀ as ``encode`` computes them once
+    per source; None recomputes them."""
     if keys is None:
         keys = _attention_keys(H, params)
     query = nm.linear(s_t, params["W_sh"], params["b_att"])
-    if query.data.ndim == 2:  # one (M, a) score block per row
-        query = nm.index(query, (slice(None), None))
-    pre = nm.add(keys, query)
+    pre = nm.add(keys, nm.index(query, (slice(None), None)))  # one (M, a) block per row
     if cov is not None:
         pre = nm.add(pre, nm.mul(nm.index(cov, (..., None)), params["W_cv"]))
     scores = nm.matmul(nm.tanh(pre), params["v"])
@@ -260,20 +258,37 @@ def attention_step(s_t, H, cov, params, mask=None, keys=None):
 
 def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask=None,
                 output=True):
-    """One decoder timestep. ``y_prev_id`` is one base-vocab id with (h,)
-    state and (M,) coverage, or k ids with (k, h) state rows and (k, M)
-    coverage rows, all stepped at once; feed extended previous outputs back
-    as UNK. With ``output=False`` the step leaves out the output
-    distribution (``p_cg`` and ``p_star`` are None): ``sequence_loss``
-    projects all of a title's steps at once instead."""
+    """One decoder timestep of k rows: k base-vocab ids with (k, h) state
+    rows and (k, M) coverage rows, all stepped at once; feed extended
+    previous outputs back as UNK. One id with (h,) state and (M,) coverage
+    is stepped as a row of one, and the step comes back without the row
+    axis. With ``output=False`` the step leaves out the output distribution
+    (``p_cg`` and ``p_star`` are None): ``sequence_loss`` projects all of a
+    title's steps at once instead."""
+    if np.ndim(y_prev_id):
+        return _step_rows(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask, output)
+    step = _step_rows([y_prev_id], tuple(nm.index(s, None) for s in state), enc,
+                      _index(cov, None), ext_ids, ev, params, hyper, mask, output)
+    return DecoderStep(state=tuple(nm.index(s, 0) for s in step.state), a=_index(step.a, 0),
+                       cov=cov, cov_next=_index(step.cov_next, 0),
+                       context=_index(step.context, 0) if hyper.attention else enc.summary,
+                       p_cg=_index(step.p_cg, 0), p_star=_index(step.p_star, 0))
+
+
+def _index(t, key):
+    return None if t is None else nm.index(t, key)
+
+
+def _step_rows(y_prev_ids, state, enc, cov, ext_ids, ev, params, hyper, mask, output):
+    """``decode_step`` of k rows."""
     vocab_size = params["E"].data.shape[0]
-    ids = np.asarray(y_prev_id)
-    if ids.ndim > 1 or not ids.size or not all(0 <= i < vocab_size for i in ids.flat):
-        raise IndexError(f"previous-output id {y_prev_id} outside base vocab")
-    x = nm.gather_rows(params["E"], ids[None])  # one LSTM step: (1, d) or (1, k, d)
+    ids = np.asarray(y_prev_ids)
+    if ids.ndim != 1 or not ids.size or not all(0 <= i < vocab_size for i in ids):
+        raise IndexError(f"previous-output id {y_prev_ids} outside base vocab")
+    x = nm.gather_rows(params["E"], ids)
     out = nm.lstm_seq(x, state[0], state[1], params["dec_W"], params["dec_U"],
-                      params["dec_b"])
-    h, c_state = (nm.index(out, (0, ..., k, slice(None))) for k in (0, 1))
+                      params["dec_b"], sizes=[len(ids)])
+    h, c_state = (nm.index(out, (slice(None), k)) for k in (0, 1))
 
     if hyper.attention:
         a, ctx = attention_step(h, enc.H, cov if hyper.coverage else None, params, mask,
@@ -284,23 +299,24 @@ def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask=Non
 
     p_cg, p_star = None, None
     if output:
-        x_in = nm.index(x, 0) if hyper.copy else None
-        p_cg, p_star = _output_dist(h, ctx, x_in, a, ext_ids, len(ev), params, hyper)
+        p_cg, p_star = _output_dist(h, ctx, x if hyper.copy else None, a, ext_ids, len(ev),
+                                    params, hyper)
     return DecoderStep(state=(h, c_state), a=a, cov=cov, cov_next=cov_next,
                        context=ctx, p_cg=p_cg, p_star=p_star)
 
 
 def _output_dist(h, ctx, x, a, ext_ids, ext_size, params, hyper):
     """(copy gate, distribution over the extended vocabulary) of decoder
-    states ``h`` with contexts ``ctx``, input embeddings ``x`` and
-    attention ``a``: one of each, or one row per step or hypothesis."""
+    state rows ``h``, one per step or hypothesis, with context rows ``ctx``
+    (or one context for every row), input embedding rows ``x`` and
+    attention rows ``a``."""
     vocab_dist = nm.softmax(nm.linear(nm.concat([h, ctx], axis=-1), params["W_v"],
                                       params["b_v"]))
     if not hyper.copy:
         return None, nm.pad_zeros(vocab_dist, ext_size)
     p_cg = nm.sigmoid(nm.add_n([nm.matmul(ctx, params["w_c"]), nm.matmul(h, params["w_s"]),
                                 nm.matmul(x, params["w_x"]), params["b_cg"]]))
-    gate = nm.index(p_cg, (slice(None), None)) if p_cg.data.ndim else p_cg
+    gate = nm.index(p_cg, (slice(None), None))
     copy_dist = nm.scatter_add(a, ext_ids, ext_size)
     gen_dist = nm.pad_zeros(vocab_dist, ext_size)
     keep = nm.add(1.0, nm.scale(gate, -1.0))  # 1 - p_cg
@@ -311,11 +327,6 @@ def _to_base(idx, vocab_size):
     return idx if idx < vocab_size else UNK
 
 
-def _stack(vectors):
-    """(T, n) rows from T (n,) tensors."""
-    return nm.concat([nm.index(v, None) for v in vectors])
-
-
 def sequence_loss(example, params, hyper, enc=None):
     """Teacher-forced loss for one encoded pair.
 
@@ -324,8 +335,8 @@ def sequence_loss(example, params, hyper, enc=None):
     lambda_cov times the mean per-step coverage penalty
     sum_i min(a_i, cov_i). ``enc`` is the pair's EncoderOutput when the
     caller has encoded a batch (``encode_batch``); None encodes it alone.
-    The decoder steps once per target token; the output distributions of
-    all steps come from one projection.
+    The decoder steps a row of one per target token; the output
+    distributions of all steps come from one projection.
     """
     target = example.target_ids
     if not target:
@@ -338,13 +349,13 @@ def sequence_loss(example, params, hyper, enc=None):
 
     if enc is None:
         enc = encode(example.base_ids, params, hyper)
-    state = enc.s0
-    cov = Tensor(np.zeros(len(example.base_ids))) if hyper.attention else None
+    state = tuple(nm.index(s, None) for s in enc.s0)
+    cov = Tensor(np.zeros((1, len(example.base_ids)))) if hyper.attention else None
     feed = [START] + [_to_base(y, vocab_size) for y in target[:-1]]
 
     hs, ctxs, attns, cov_terms = [], [], [], []
     for y_prev in feed:
-        step = decode_step(y_prev, state, enc, cov, example.ext_ids,
+        step = decode_step([y_prev], state, enc, cov, example.ext_ids,
                            example.ev, params, hyper, output=False)
         hs.append(step.state[0])
         ctxs.append(step.context)
@@ -355,9 +366,9 @@ def sequence_loss(example, params, hyper, enc=None):
         cov = step.cov_next
 
     t_len = len(target)
-    _, p_star = _output_dist(_stack(hs), _stack(ctxs) if hyper.attention else enc.summary,
+    _, p_star = _output_dist(nm.concat(hs), nm.concat(ctxs) if hyper.attention else enc.summary,
                              nm.gather_rows(params["E"], feed),
-                             _stack(attns) if hyper.copy else None,
+                             nm.concat(attns) if hyper.copy else None,
                              example.ext_ids, ext_size, params, hyper)
     logp = nm.log(nm.clamp_min(nm.index(p_star, (np.arange(t_len), target)), LOGPROB_FLOOR))
     loss = nm.scale(nm.sum_all(logp), -1.0 / t_len)

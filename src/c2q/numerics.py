@@ -2,9 +2,10 @@
 
 Everything the encoder/decoder needs: linear maps, a whole-sequence LSTM,
 masked softmax, sigmoid/tanh, concatenation, indexing, gather/scatter, and a
-central finite-difference gradient checker. The ops a decoder step uses also
-take a batch of rows (leading axes) and work row by row on the last axis.
-Values are float32 by default; wrap gradient checks in
+central finite-difference gradient checker. The model ops work on rows: a
+linear map takes (k, in) rows, the LSTM a packed batch of sequences, and the
+elementwise ops, softmax, scatter and padding work row by row on the last
+axis. Values are float32 by default; wrap gradient checks in
 ``use_dtype(np.float64)`` for the doubled-precision test mode with tighter
 tolerances.
 """
@@ -216,6 +217,9 @@ def add_n(tensors):
 
 
 def matmul(a, b):
+    """``a @ b`` for a matrix or a stack of matrices times a vector, or a
+    matrix times a matrix. The right operand's gradient in the (2, 2) case
+    and the left one's in the (2, 1) case are deferred as factors."""
     a, b = _wrap(a), _wrap(b)
     ad, bd = a.data, b.data
     ranks = ad.ndim, bd.ndim
@@ -227,17 +231,9 @@ def matmul(a, b):
         def bw(g):
             return g[..., None] * bd, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1)
 
-    elif ranks == (1, 2):
-        def bw(g):
-            return bd @ g, _Factors(ad, g)
-
     elif ranks == (2, 2):
         def bw(g):
-            return g @ bd.T, ad.T @ g
-
-    elif ranks == (1, 1):
-        def bw(g):
-            return g * bd, g * ad
+            return g @ bd.T, _Factors(ad, g)
 
     else:
         raise ShapeError(f"matmul unsupported ranks {ad.shape} @ {bd.shape}")
@@ -247,19 +243,16 @@ def matmul(a, b):
 
 
 def linear(x, w, b=None):
-    """y = Wx + b for a vector x; for rows x (k, in), each row's y = Wx + b
-    as one (k, in)·Wᵀ product. W's gradient is deferred as factors."""
+    """Rows y = xWᵀ + b of rows x (k, in), as one product. W's gradient is
+    deferred as factors."""
     x = _wrap(x)
-    if x.data.ndim == 1:
-        y = matmul(w, x)
-    else:
-        xd, wd = x.data, w.data
-        if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
-            raise ShapeError(f"linear shapes {xd.shape} and {wd.shape} not conformable")
-        # W·Xᵀ: W as the left operand runs about twice as fast here as X·Wᵀ,
-        # and for one row it is the vector form's matrix-vector product
-        y = Tensor(np.ascontiguousarray((wd @ xd.T).T), (x, w),
-                   lambda g: (g @ wd, _Factors(g, xd)))
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+        raise ShapeError(f"linear shapes {xd.shape} and {wd.shape} not conformable")
+    # W·Xᵀ: W as the left operand runs about twice as fast here as X·Wᵀ,
+    # and for one row it is a matrix-vector product
+    y = Tensor(np.ascontiguousarray((wd @ xd.T).T), (x, w),
+               lambda g: (g @ wd, _Factors(g, xd)))
     return y if b is None else add(y, b)
 
 
@@ -399,25 +392,19 @@ def softmax(v, mask=None):
     return Tensor(p, (v,), bw)
 
 
-def lstm_seq(x, h0, c0, w, u, b, sizes=None):
-    """The standard gated LSTM run over the steps of ``x`` from state
-    (``h0``, ``c0``), as one graph node. Three forms:
+def lstm_seq(x, h0, c0, w, u, b, sizes):
+    """The standard gated LSTM run over a packed ragged batch of sequences,
+    as one graph node. ``x`` (N, in) holds the rows of B sequences in
+    time-major order, longest first, and ``sizes`` the number of live rows
+    at each step (non-increasing from B, summing to N), so step t's rows are
+    those of the first ``sizes[t]`` sequences. State (``h0``, ``c0``) is
+    (B, H); the output (N, 2, H) holds [h, c] after each row's step. One
+    sequence is a batch of one, and k rows stepped once have ``sizes=[k]``.
 
-    - one sequence: ``x`` (T, in), state (H,), output (T, 2, H) holding
-      [h, c] after each step;
-    - k equal-length sequences stepped together: ``x`` (T, k, in), state
-      (k, H), output (T, k, 2, H);
-    - a packed ragged batch: ``x`` (N, in) holds the rows of B sequences in
-      time-major order, longest first, and ``sizes`` the number of live
-      rows at each step (non-increasing from B, summing to N), so step t's
-      rows are those of the first ``sizes[t]`` sequences. State (B, H),
-      output (N, 2, H).
-
-    The first two are the packed form with every size equal. ``w`` is
-    (4H, in), ``u`` is (4H, H), ``b`` is (4H,), gate order input / forget /
-    output / candidate. The forward projects all steps of ``x`` in one
-    product; the hand-written backward runs the recurrence in reverse and
-    then gets dx, dW, dU and db in one product or sum each.
+    ``w`` is (4H, in), ``u`` is (4H, H), ``b`` is (4H,), gate order input /
+    forget / output / candidate. The forward projects all rows of ``x`` in
+    one product; the hand-written backward runs the recurrence in reverse
+    and then gets dx, dW, dU and db in one product or sum each.
     """
     x, h0, c0 = _wrap(x), _wrap(h0), _wrap(c0)
     xd, wd, ud = x.data, w.data, u.data
@@ -425,17 +412,10 @@ def lstm_seq(x, h0, c0, w, u, b, sizes=None):
     if wd.shape[0] != 4 * hsize or ud.shape[0] != 4 * hsize or b.data.shape != (4 * hsize,):
         raise ShapeError(
             f"lstm weight shapes inconsistent: W {wd.shape}, U {ud.shape}, b {b.data.shape}")
-    if sizes is None:
-        batch = h0.shape[:-1]  # () for one sequence, (k,) for k
-        fits = (len(batch) <= 1 and xd.ndim == 2 + len(batch)
-                and xd.shape[1:] == batch + (in_dim,))
-        sizes = [h0.data.size // hsize] * (xd.shape[0] if fits else 0)
-    else:
-        sizes = [int(n) for n in sizes]
-        fits = (len(sizes) > 0 and sizes[-1] >= 1 and sizes == sorted(sizes, reverse=True)
-                and xd.ndim == 2 and h0.shape == (sizes[0], hsize)
-                and xd.shape == (sum(sizes), in_dim))
-    if not fits or h0.shape[-1:] != (hsize,) or c0.shape != h0.shape:
+    sizes = [int(n) for n in sizes]
+    if not (sizes and sizes[-1] >= 1 and sizes == sorted(sizes, reverse=True)
+            and h0.shape == c0.shape == (sizes[0], hsize)
+            and xd.shape == (sum(sizes), in_dim)):
         raise ShapeError(f"lstm inputs x {xd.shape}, h0 {h0.shape}, c0 {c0.shape}, sizes "
                          f"{sizes} do not fit W {wd.shape}, U {ud.shape}")
     rows, sig = sum(sizes), 3 * hsize  # i, f, o are sigmoids
@@ -443,12 +423,12 @@ def lstm_seq(x, h0, c0, w, u, b, sizes=None):
     steps = [slice(end - n, end) for n, end in zip(sizes, ends)]  # each step's rows
     # gate pre-activations, then activations in place. The loops index
     # views made once with a slice made once, the cheapest per step.
-    act = xd.reshape(rows, in_dim) @ wd.T + b.data
+    act = xd @ wd.T + b.data
     i, f, o, g = (act[:, k * hsize:(k + 1) * hsize] for k in range(4))
     ifo = act[:, :sig]
     out = np.empty((rows, 2, hsize), dtype=act.dtype)
     h_out, c_out = out[:, 0], out[:, 1]
-    h, c = h0.data.reshape(-1, hsize), c0.data.reshape(-1, hsize)
+    h, c = h0.data, c0.data
     for t, n in zip(steps, sizes):
         if n < len(h):  # sequences that ended drop out of the state
             h, c = h[:n], c[:n]
@@ -460,7 +440,6 @@ def lstm_seq(x, h0, c0, w, u, b, sizes=None):
         h = h_out[t] = o[t] * np.tanh(c)
 
     def bw(grad):
-        grad = grad.reshape(rows, 2, hsize)
         # dz = [dc, dc, dh, dc] * coef by gate; coef is built in dz's buffer
         # and multiplied through step by step (forget also by the cell in)
         dz = np.empty_like(act)
@@ -483,14 +462,14 @@ def lstm_seq(x, h0, c0, w, u, b, sizes=None):
         work *= o
         # carries into the step before; rows of sequences that end at a
         # step are still zero when the backward loop first reaches them
-        dh_in, dc_in = (np.zeros((h0.data.size // hsize, hsize), act.dtype) for _ in "hc")
+        dh_in, dc_in = (np.zeros(h0.shape, act.dtype) for _ in "hc")
         for k in reversed(range(len(steps))):
             t, n = steps[k], sizes[k]
             if k:
                 before = slice(steps[k - 1].start, steps[k - 1].start + n)
                 h_prev, c_prev = h_out[before], c_out[before]
             else:
-                h_prev, c_prev = h0.data.reshape(-1, hsize), c0.data.reshape(-1, hsize)
+                h_prev, c_prev = h0.data, c0.data
             dh = grad[t, 0] + dh_in[:n]
             dc = grad[t, 1] + dc_in[:n] + dh * work[t]
             work[t] = h_prev
@@ -500,10 +479,10 @@ def lstm_seq(x, h0, c0, w, u, b, sizes=None):
             dz_o[t] *= dh
             np.matmul(dz[t], ud, out=dh_in[:n])
             np.multiply(dc, f[t], out=dc_in[:n])
-        return (dz @ wd, dh_in, dc_in, _outer_sum(dz, xd.reshape(rows, in_dim)),
-                _outer_sum(dz, work), dz.sum(axis=0))
+        return (dz @ wd, dh_in, dc_in, _outer_sum(dz, xd), _outer_sum(dz, work),
+                dz.sum(axis=0))
 
-    return Tensor(out.reshape(xd.shape[:-1] + (2, hsize)), (x, h0, c0, w, u, b), bw)
+    return Tensor(out, (x, h0, c0, w, u, b), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -33,19 +33,19 @@ class TrainingDivergedError(RuntimeError):
 
 
 class CheckpointError(RuntimeError):
-    code = "checkpoint"
+    pass
 
 
 class CheckpointFormatError(CheckpointError):
-    code = "bad-format"
+    pass
 
 
 class CheckpointTruncatedError(CheckpointError):
-    code = "truncated"
+    pass
 
 
 class CheckpointHashError(CheckpointError):
-    code = "vocab-hash-mismatch"
+    pass
 
 
 @dataclass

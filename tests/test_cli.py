@@ -296,6 +296,8 @@ def _error_lines(err):
     ["dedup", "--train-pairs", "x.jsonl", "--test-pairs", "x.jsonl",
      "--out-pairs", "y.jsonl", "--report", "r.json", "--embed-dim", "0"],
     ["retrieve", "--train-pairs", "x.jsonl", "--embed-dim", "0"],
+    ["generate", "--greedy", "--max-len", "257"],  # above MAX_DECODE_LEN
+    ["train", "--train-pairs", "x.jsonl", "--checkpoint", "x.ckpt", "--max-len", "257"],
 ])
 def test_count_flags_below_one_are_usage_errors(workdir, capsys, argv):
     common = [] if argv[0] in ("preprocess", "build-vocab") else ["--vocab", workdir["vocab"]]
@@ -310,17 +312,27 @@ def test_count_flags_below_one_are_usage_errors(workdir, capsys, argv):
 SUBPARSERS = cli.build_parser()[1]
 
 
+def test_seed_is_a_flag_only_of_commands_that_draw_random_numbers():
+    with_seed = {name for name, p in SUBPARSERS.items()
+                 if any(a.dest == "seed" for a in p._actions)}
+    assert with_seed == {"preprocess", "train", "dedup", "retrieve"}
+
+
+TYPED_FLAGS = {command: [a.option_strings[0] for a in p._actions
+                         if a.option_strings and (a.type or a.choices)]
+               for command, p in SUBPARSERS.items()}
+
+
 def _flag_values(command):
     """(command, arbitrary text for some of its typed and choice flags)."""
-    typed = [a.option_strings[0] for a in SUBPARSERS[command]._actions
-             if a.option_strings and (a.type or a.choices)]
     text = st.one_of(st.text(), st.integers().map(str), st.floats().map(str))
     return st.tuples(st.just(command),
-                     st.dictionaries(st.sampled_from(typed), text, min_size=1))
+                     st.dictionaries(st.sampled_from(TYPED_FLAGS[command]), text, min_size=1))
 
 
 @settings(max_examples=200)
-@given(case=st.sampled_from(sorted(SUBPARSERS)).flatmap(_flag_values))
+@given(case=st.sampled_from(sorted(c for c, flags in TYPED_FLAGS.items() if flags))
+       .flatmap(_flag_values))
 def test_arbitrary_flag_values_end_in_one_error_line(fuzzdir, case):
     # every required flag names a missing path, so a value that a flag
     # accepts still ends the run at its first read
@@ -338,12 +350,13 @@ def test_arbitrary_flag_values_end_in_one_error_line(fuzzdir, case):
 
 def test_count_below_one_in_config_is_data_error(workdir, capsys, tmp_path):
     cfg = tmp_path / "c2q.cfg"
-    cfg.write_text("beam=0\n")
     snippets = tmp_path / "s.jsonl"
     snippets.write_text('{"code": "x = 1"}\n')
-    assert run(["generate", "--config", str(cfg), "--checkpoint", workdir["ckpt"],
-                "--vocab", workdir["vocab"], "--input", str(snippets)]) == 2
-    assert _error_lines(capsys.readouterr().err)[0].startswith("error kind=data")
+    for line in ("beam=0", "max_len=257"):
+        cfg.write_text(line + "\n")
+        assert run(["generate", "--config", str(cfg), "--checkpoint", workdir["ckpt"],
+                    "--vocab", workdir["vocab"], "--input", str(snippets)]) == 2
+        assert _error_lines(capsys.readouterr().err)[0].startswith("error kind=data")
 
 
 def test_choice_outside_its_choices_in_config_is_data_error(workdir, capsys, tmp_path):
@@ -588,7 +601,7 @@ def _assert_clean_exit(argv):
 # Vocab and config fuzzing: raw bytes, or files shaped like the real thing.
 # Config lines use the command's own keys with small or malformed values, so
 # no value asks for a large allocation (every number has at most 4 digits).
-CONFIG_KEYS = {"ir-baseline": ["seed"],
+CONFIG_KEYS = {"ir-baseline": [],
                "dedup": ["seed", "delta", "embed_dim", "raw_embeddings", "checkpoint"],
                "retrieve": ["seed", "top", "lang", "embed_dim", "checkpoint"]}
 CONFIG_VALUE = st.one_of(st.sampled_from(["", "0", "-1", "3", "0.5", "nan", "inf", "1e3",

@@ -8,8 +8,8 @@ from c2q import decode
 from c2q import numerics as nm
 from c2q.decode import (Hypothesis, _beam, _rank_key, _top_k, beam_search,
                         greedy_decode, greedy_decode_full, resolve_unk)
-from c2q.model import (ABLATION_PRESETS, LOGPROB_FLOOR, Hyperparams, decode_step,
-                       encode, init_parameters)
+from c2q.model import (ABLATION_PRESETS, LOGPROB_FLOOR, MAX_DECODE_LEN, Hyperparams,
+                       decode_step, encode, init_parameters)
 from c2q.numerics import Rng, Tensor
 from c2q.vocab import (END, START, UNK, UNK_TOKEN, Vocabulary, build_vocab,
                        encode_source)
@@ -120,7 +120,7 @@ def test_greedy_returns_one_attention_record_per_token(monkeypatch):
 
 def test_beam_rejects_max_len_below_one():
     vocab, hyper, params = make_setup(0)
-    for max_len in (0, -1):
+    for max_len in (0, -1, MAX_DECODE_LEN + 1):
         with pytest.raises(ValueError):
             beam_search(["w4"], params, vocab, hyper, k=2, max_len=max_len)
         with pytest.raises(ValueError):

@@ -117,7 +117,7 @@ def test_attention_single_position():
     hyper = tiny_hyper()
     params = init_parameters(hyper, 10, Rng(1))
     enc = encode([5], params, hyper)
-    s = Tensor(Rng(2).uniform(-1, 1, hyper.hidden))
+    s = Tensor(Rng(2).uniform(-1, 1, (1, hyper.hidden)))
     a, _ = attention_step(s, enc.H, None, params)
     assert np.allclose(a.data, [1.0])
 
@@ -126,7 +126,7 @@ def test_attention_identical_rows_uniform():
     hyper = tiny_hyper()
     params = init_parameters(hyper, 10, Rng(1))
     H = Tensor(np.ones((4, 2 * hyper.hidden)))
-    s = Tensor(Rng(2).uniform(-1, 1, hyper.hidden))
+    s = Tensor(Rng(2).uniform(-1, 1, (1, hyper.hidden)))
     a, c = attention_step(s, H, None, params)
     assert np.allclose(a.data, [0.25] * 4, atol=1e-6)
     assert np.allclose(c.data, np.ones(2 * hyper.hidden), atol=1e-6)
@@ -139,8 +139,8 @@ def test_attention_precomputed_keys_match_recomputed(dtype):
         params = init_parameters(hyper, 12, Rng(4))
         enc = encode([3, 5, 7, 5, 9], params, hyper)
         rng = Rng(5)
-        s = Tensor(rng.uniform(-1, 1, hyper.hidden))
-        cov = Tensor(rng.uniform(0, 1, 5))
+        s = Tensor(rng.uniform(-1, 1, (1, hyper.hidden)))
+        cov = Tensor(rng.uniform(0, 1, (1, 5)))
         mask = np.array([True, True, False, True, True])
         with_keys = attention_step(s, enc.H, cov, params, mask, keys=enc.keys)
         recomputed = attention_step(s, enc.H, cov, params, mask)
@@ -164,15 +164,15 @@ def test_attention_matches_hand_computation():
     params = init_parameters(hyper, 6, Rng(9))
     rng = Rng(10)
     H = Tensor(rng.uniform(-1, 1, (2, 4)))
-    s = Tensor(rng.uniform(-1, 1, 2))
-    cov = Tensor(np.array([0.3, 0.7]))
+    s = Tensor(rng.uniform(-1, 1, (1, 2)))
+    cov = Tensor(np.array([[0.3, 0.7]]))
     a, c = attention_step(s, H, cov, params)
 
     w_eh, w_sh = params["W_eh"].data, params["W_sh"].data
     w_cv, b_att, v = params["W_cv"].data, params["b_att"].data, params["v"].data
     scores = []
     for i in range(2):
-        pre = w_cv * cov.data[i] + w_eh @ H.data[i] + w_sh @ s.data + b_att
+        pre = w_cv * cov.data[0, i] + w_eh @ H.data[i] + w_sh @ s.data[0] + b_att
         scores.append(float(v @ np.tanh(pre)))
     exps = np.exp(np.array(scores) - max(scores))
     a_ref = exps / exps.sum()
@@ -490,20 +490,23 @@ def _encoder_fields(enc):
 
 
 def _reference_encode(base_ids, params, hyper):
-    # one source on its own, each direction one unpacked lstm_seq call and
-    # the backward one on the reversed rows: the encoder before packing
-    zeros = Tensor(np.zeros(hyper.hidden))
+    # one source on its own, each direction one lstm_seq call over a batch
+    # of one and the backward one on the reversed rows: the encoder before
+    # packing
+    zeros = Tensor(np.zeros((1, hyper.hidden)))
     rev, hs = slice(None, None, -1), (slice(None), 0)
 
     def bilstm(x, layer):
-        fw, bw = (nm.lstm_seq(seq, zeros, zeros, *(params[f"enc_l{layer}_{d}_{n}"] for n in "WUb"))
+        fw, bw = (nm.lstm_seq(seq, zeros, zeros, *(params[f"enc_l{layer}_{d}_{n}"] for n in "WUb"),
+                              sizes=[1] * len(base_ids))
                   for d, seq in (("fw", x), ("bw", nm.index(x, rev))))
         bw = nm.index(bw, rev)
         return nm.concat([nm.index(fw, hs), nm.index(bw, hs)], axis=1), fw, bw
 
     H, fw, bw = bilstm(bilstm(nm.gather_rows(params["E"], base_ids), 1)[0], 2)
     summary = [nm.concat([nm.index(fw, (-1, k)), nm.index(bw, (0, k))]) for k in (0, 1)]
-    s0 = tuple(nm.tanh(nm.linear(v, params["W_b"], params["b_b"])) for v in summary)
+    s0 = tuple(nm.index(nm.tanh(nm.linear(nm.index(v, None), params["W_b"], params["b_b"])), 0)
+               for v in summary)
     keys = md._attention_keys(H, params) if hyper.attention else None
     return md.EncoderOutput(H=H, s0=s0, summary=summary[0], keys=keys)
 

@@ -6,7 +6,7 @@ from c2q.numerics import Rng, Tensor
 
 
 def test_linear_identity():
-    x = Tensor([1.0, 2.0, 3.0])
+    x = Tensor([[1.0, 2.0, 3.0]])
     w = Tensor(np.eye(3))
     b = Tensor(np.zeros(3))
     y = nm.linear(x, w, b)
@@ -14,7 +14,7 @@ def test_linear_identity():
 
 
 def test_linear_hand_example():
-    x = Tensor([1.0, 2.0])
+    x = Tensor([[1.0, 2.0]])
     w = Tensor([[1.0, 1.0], [0.0, 1.0]])
     b = Tensor([0.0, 1.0])
     y = nm.linear(x, w, b)
@@ -22,9 +22,9 @@ def test_linear_hand_example():
 
 
 def test_linear_backward_outer_product():
-    x = Tensor([1.0, 2.0])
+    x = Tensor([[1.0, 2.0]])
     w = Tensor([[0.5, -0.5], [1.5, 2.0]])
-    y = nm.matmul(w, x)
+    y = nm.linear(x, w)
     loss = nm.matmul(y, Tensor([3.0, -1.0]))  # upstream grad g = [3, -1]
     loss.backward()
     assert np.allclose(w.grad, np.outer([3.0, -1.0], [1.0, 2.0]))
@@ -33,6 +33,12 @@ def test_linear_backward_outer_product():
 def test_linear_shape_mismatch_names_shapes():
     with pytest.raises(nm.ShapeError, match=r"\(2, 2\).*\(3,\)"):
         nm.matmul(Tensor(np.eye(2)), Tensor([1.0, 2.0, 3.0]))
+    # rows only: no vector input to linear, no vector left operand to matmul
+    with pytest.raises(nm.ShapeError):
+        nm.linear(Tensor([1.0, 2.0]), Tensor(np.eye(2)))
+    for left, right in (((2,), (2, 2)), ((2,), (2,))):
+        with pytest.raises(nm.ShapeError, match="unsupported ranks"):
+            nm.matmul(Tensor(np.zeros(left)), Tensor(np.zeros(right)))
 
 
 def test_backward_accumulates_instead_of_overwriting():
@@ -53,27 +59,30 @@ def test_repeated_backward_on_one_graph_adds_one_gradient_per_pass():
 
 
 def test_backward_folds_factored_and_row_gradients():
-    # W meets W@x and x@W three times, A enters as a non-leaf matrix operand,
-    # E is read by leaf index (int and slice keys) and gather_rows with
-    # repeated ids; every gradient is checked against a dense hand-computed
-    # reference after two backward passes have accumulated.
+    # W meets W@x and row@W three times, A enters as a non-leaf matrix
+    # operand, E is read by leaf index (int and slice keys) and gather_rows
+    # with repeated ids; every gradient is checked against a dense
+    # hand-computed reference after two backward passes have accumulated.
     rng = Rng(17)
     with nm.use_dtype(np.float64):
         W, A, E = (Tensor(rng.uniform(-1, 1, shape)) for shape in ((3, 4), (3, 4), (5, 4)))
-        x2, x3, y, z = (Tensor(rng.uniform(-1, 1, n)) for n in (4, 4, 3, 3))
+        x2, x3, y, z = (Tensor(rng.uniform(-1, 1, n)) for n in (4, 4, (1, 3), (1, 3)))
         u1, u2, u3, u4, u5, v1 = (rng.uniform(-1, 1, n) for n in (3, 3, 4, 3, 4, 4))
         V2, V3 = rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (5, 4))
         ids = [0, 3, 0, 3, 3]
 
+        def dot(u, t):
+            return nm.sum_all(nm.mul(Tensor(u), t))
+
         def loss():
             x1 = nm.index(E, 2)
             M = nm.tanh(A)
-            terms = [nm.matmul(Tensor(u1), nm.matmul(W, x1)),
-                     nm.matmul(Tensor(u2), nm.matmul(W, x2)),
-                     nm.matmul(nm.matmul(y, W), Tensor(u3)),
-                     nm.matmul(Tensor(u4), nm.matmul(M, x3)),
-                     nm.matmul(nm.matmul(z, M), Tensor(u5)),
-                     nm.matmul(x1, Tensor(v1)),
+            terms = [dot(u1, nm.matmul(W, x1)),
+                     dot(u2, nm.matmul(W, x2)),
+                     dot(u3, nm.matmul(y, W)),
+                     dot(u4, nm.matmul(M, x3)),
+                     dot(u5, nm.matmul(z, M)),
+                     dot(v1, x1),
                      nm.sum_all(nm.mul(nm.index(E, slice(1, 3)), Tensor(V2))),
                      nm.sum_all(nm.mul(nm.gather_rows(E, ids), Tensor(V3)))]
             return nm.add_n(terms)
@@ -91,7 +100,7 @@ def test_backward_folds_factored_and_row_gradients():
     for row, i in zip(V3, ids):
         dE[i] += row
     for t, ref in ((W, dW), (A, dA), (E, dE), (x2, w.T @ u2), (x3, m.T @ u4),
-                   (y, w @ u3), (z, m @ u5)):
+                   (y, (w @ u3)[None]), (z, (m @ u5)[None])):
         np.testing.assert_allclose(t.grad, 2 * ref, rtol=1e-12, atol=0)
 
 
@@ -140,11 +149,11 @@ def test_sigmoid_no_overflow():
 
 def test_lstm_seq_all_zeros():
     h = 4
-    z = Tensor(np.zeros(h))
+    z = Tensor(np.zeros((1, h)))
     w = Tensor(np.zeros((4 * h, h)))
     u = Tensor(np.zeros((4 * h, h)))
     b = Tensor(np.zeros(4 * h))
-    out = nm.lstm_seq(Tensor(np.zeros((3, h))), z, z, w, u, b)
+    out = nm.lstm_seq(Tensor(np.zeros((3, h))), z, z, w, u, b, sizes=[1, 1, 1])
     assert out.shape == (3, 2, h)
     assert np.allclose(out.data, 0.0)
 
@@ -155,14 +164,14 @@ def test_lstm_seq_cprev_zero_forget_irrelevant():
     w1 = Tensor(rng.uniform(-0.5, 0.5, (4 * h, h)))
     u = Tensor(rng.uniform(-0.5, 0.5, (4 * h, h)))
     x = Tensor(rng.uniform(-1, 1, (1, h)))
-    hp = Tensor(rng.uniform(-1, 1, h))
-    cz = Tensor(np.zeros(h))
+    hp = Tensor(rng.uniform(-1, 1, (1, h)))
+    cz = Tensor(np.zeros((1, h)))
     # bias on the forget gate changes f but must not change c when c_prev=0
     b1 = Tensor(np.zeros(4 * h))
     b2 = np.zeros(4 * h)
     b2[h:2 * h] = 5.0
-    c1 = nm.lstm_seq(x, hp, cz, w1, u, b1).data[0, 1]
-    c2 = nm.lstm_seq(x, hp, cz, w1, u, Tensor(b2)).data[0, 1]
+    c1 = nm.lstm_seq(x, hp, cz, w1, u, b1, sizes=[1]).data[0, 1]
+    c2 = nm.lstm_seq(x, hp, cz, w1, u, Tensor(b2), sizes=[1]).data[0, 1]
     assert np.allclose(c1, c2, atol=1e-6)
 
 
@@ -177,13 +186,14 @@ def test_lstm_seq_gradients_match_finite_differences(reverse):
         u = Tensor(rng.uniform(-0.3, 0.3, (4 * h, h)))
         b = Tensor(rng.uniform(-0.3, 0.3, 4 * h))
         x = Tensor(rng.uniform(-1, 1, (steps, h)))
-        hp = Tensor(rng.uniform(-1, 1, h))
-        cp = Tensor(rng.uniform(-1, 1, h))
+        hp = Tensor(rng.uniform(-1, 1, (1, h)))
+        cp = Tensor(rng.uniform(-1, 1, (1, h)))
         probe = Tensor(rng.uniform(-1, 1, (steps, 2, h)))
+        sizes = [1] * steps
 
         def f():
-            out = (nm.index(nm.lstm_seq(nm.index(x, rev), hp, cp, w, u, b), rev)
-                   if reverse else nm.lstm_seq(x, hp, cp, w, u, b))
+            out = (nm.index(nm.lstm_seq(nm.index(x, rev), hp, cp, w, u, b, sizes), rev)
+                   if reverse else nm.lstm_seq(x, hp, cp, w, u, b, sizes))
             return nm.sum_all(nm.mul(out, probe))
 
         err = nm.finite_diff_check(f, [x, hp, cp, w, u, b], epsilon=1e-5)
@@ -223,12 +233,12 @@ def test_composed_graph_gradcheck():
     rng = Rng(21)
     with nm.use_dtype(np.float64):
         w = Tensor(rng.uniform(-0.5, 0.5, (5, 4)))
-        x = Tensor(rng.uniform(-1, 1, 4))
+        x = Tensor(rng.uniform(-1, 1, (1, 4)))
         v = Tensor(rng.uniform(-1, 1, 5))
 
         def f():
-            p = nm.softmax(nm.tanh(nm.matmul(w, x)))
-            return nm.matmul(nm.log(nm.clamp_min(p, 1e-12)), v)
+            p = nm.softmax(nm.tanh(nm.linear(x, w)))
+            return nm.sum_all(nm.matmul(nm.log(nm.clamp_min(p, 1e-12)), v))
 
         err = nm.finite_diff_check(f, [w, x, v], epsilon=1e-6)
     assert err < 1e-4
@@ -272,45 +282,22 @@ def test_minimum_subgradient():
     assert np.allclose(b.grad, [0.0, 1.0])
 
 
-@pytest.mark.oracle
-def test_lstm_seq_batch_matches_separate_sequences_and_finite_differences():
-    # k = 2 sequences stepped together: each output row equals its own
-    # one-sequence run, and the batched backward passes the gradient check
-    h, steps, k = 3, 3, 2
-    rng = Rng(31)
-    with nm.use_dtype(np.float64):
-        w = Tensor(rng.uniform(-0.3, 0.3, (4 * h, 2)))
-        u = Tensor(rng.uniform(-0.3, 0.3, (4 * h, h)))
-        b = Tensor(rng.uniform(-0.3, 0.3, 4 * h))
-        x = Tensor(rng.uniform(-1, 1, (steps, k, 2)))
-        hp = Tensor(rng.uniform(-1, 1, (k, h)))
-        cp = Tensor(rng.uniform(-1, 1, (k, h)))
-        probe = Tensor(rng.uniform(-1, 1, (steps, k, 2, h)))
-        out = nm.lstm_seq(x, hp, cp, w, u, b)
-        assert out.shape == (steps, k, 2, h)
-        for row in range(k):
-            alone = nm.lstm_seq(Tensor(x.data[:, row]), Tensor(hp.data[row]),
-                                Tensor(cp.data[row]), w, u, b)
-            np.testing.assert_allclose(out.data[:, row], alone.data, rtol=1e-12, atol=1e-15)
-
-        def f():
-            return nm.sum_all(nm.mul(nm.lstm_seq(x, hp, cp, w, u, b), probe))
-
-        err = nm.finite_diff_check(f, [x, hp, cp, w, u, b], epsilon=1e-5)
-    assert err < 1e-3
-
-
 def test_lstm_seq_rejects_mismatched_batch():
+    # the packed form is the only one: sizes are required, and neither k
+    # equal-length sequences (T, k, in) nor a one-sequence (H,) state fit
     h = 2
     w, u, b = Tensor(np.zeros((4 * h, 3))), Tensor(np.zeros((4 * h, h))), Tensor(np.zeros(4 * h))
     for x, s in (((2, 3, 3), (2, h)), ((2, 2, 3), (h,)), ((2, 3), (2, h))):
+        x, s = Tensor(np.zeros(x)), Tensor(np.zeros(s))
+        with pytest.raises(TypeError):
+            nm.lstm_seq(x, s, s, w, u, b)
         with pytest.raises(nm.ShapeError):
-            nm.lstm_seq(Tensor(np.zeros(x)), Tensor(np.zeros(s)), Tensor(np.zeros(s)), w, u, b)
+            nm.lstm_seq(x, s, s, w, u, b, sizes=[2, 2])
 
 
 def test_row_ops_match_per_row_ops_and_fold_weight_factors():
     # linear, masked softmax, scatter_add, pad_zeros and a broadcasting
-    # concat on k rows give each row's one-vector result, and the rows'
+    # concat on k rows give each row's result as a row of one, and the rows'
     # gradients, W's folded from factors, match finite differences
     rng = Rng(41)
     with nm.use_dtype(np.float64):
@@ -329,9 +316,9 @@ def test_row_ops_match_per_row_ops_and_fold_weight_factors():
 
         out = rows()
         for r in range(2):
-            y = nm.softmax(nm.linear(Tensor(X.data[r]), W, bias), mask)
-            one = nm.pad_zeros(nm.concat([nm.scatter_add(y, idx, 5), v]), 8)
-            np.testing.assert_allclose(out.data[r], one.data, rtol=1e-12, atol=0)
+            y = nm.softmax(nm.linear(Tensor(X.data[r:r + 1]), W, bias), mask)
+            one = nm.pad_zeros(nm.concat([nm.scatter_add(y, idx, 5), v], axis=-1), 8)
+            np.testing.assert_allclose(out.data[r], one.data[0], rtol=1e-12, atol=0)
         # 0 receives only the masked position; no position scatters to 2
         assert (out.data[:, [0, 2]] == 0).all()
 
@@ -395,12 +382,12 @@ def test_packed_lstm_seq_matches_separate_sequences_and_finite_differences(lengt
         packed_grads = [t.grad.copy() for t in leaves]
         nm.zero_grads([w, u, b])
         for j, (s, r) in enumerate(zip(seqs, rows)):
-            xs, hs, cs = Tensor(s), Tensor(h0.data[j]), Tensor(c0.data[j])
-            alone = nm.lstm_seq(xs, hs, cs, w, u, b)
+            xs, hs, cs = Tensor(s), Tensor(h0.data[j:j + 1]), Tensor(c0.data[j:j + 1])
+            alone = nm.lstm_seq(xs, hs, cs, w, u, b, sizes=[1] * len(s))
             np.testing.assert_allclose(out.data[r], alone.data, rtol=1e-12, atol=1e-15)
             nm.sum_all(nm.mul(alone, Tensor(probe[r]))).backward()
-            for got, want in ((packed_grads[0][r], xs.grad), (packed_grads[1][j], hs.grad),
-                              (packed_grads[2][j], cs.grad)):
+            for got, want in ((packed_grads[0][r], xs.grad), (packed_grads[1][j], hs.grad[0]),
+                              (packed_grads[2][j], cs.grad[0])):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         for got, t in zip(packed_grads[3:], (w, u, b)):
             assert np.abs(got - t.grad).max() <= 1e-12 * np.abs(t.grad).max()

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c2q import decode as decode_module
 from c2q import files as files_module
+from c2q import model as model_module
 from c2q.corpus import QCPair
 from c2q.model import (ABLATION_PRESETS, Hyperparams, Parameters,
                        encode_example, init_parameters, sequence_loss)
@@ -20,17 +22,18 @@ from c2q.train import (CHECKPOINT_MAGIC, CheckpointError, CheckpointFormatError,
                        CheckpointHashError, CheckpointTruncatedError,
                        TrainConfig, TrainingDivergedError, clip_global_norm,
                        load_checkpoint, mean_loss, save_checkpoint, train)
-from c2q.vocab import build_vocab
+from c2q.vocab import START, build_vocab, encode_source
 
 
-def make_dataset(n_pairs=4, seed=0):
+def make_dataset(n_pairs=4, seed=0, title_lens=(4,)):
     alphabet = [f"tok{i}" for i in range(20)]
     rng = Rng(seed)
     vocab = build_vocab([alphabet * 2], min_freq=0)
     pairs = []
     for i in range(n_pairs):
         code = [alphabet[rng.integers(0, 20)] for _ in range(6)]
-        title = [alphabet[rng.integers(0, 20)] for _ in range(4)]
+        title = [alphabet[rng.integers(0, 20)]
+                 for _ in range(title_lens[i % len(title_lens)])]
         pairs.append(QCPair(id=i, lang="python", code_tokens=code,
                             title_tokens=title))
     examples = [encode_example(p, vocab) for p in pairs]
@@ -412,3 +415,41 @@ def test_loss_finite_for_all_ablations():
         loss, logps = sequence_loss(examples[0], params, hyper)
         assert np.isfinite(float(loss.data)), name
         assert all(np.isfinite(lp) for lp in logps), name
+
+
+@pytest.fixture
+def decode_step_calls(monkeypatch):
+    """The arguments of every ``c2q.model.decode_step`` call, counted where
+    each module looks it up, as a tracer that rebinds module globals does."""
+    calls, original = [], model_module.decode_step
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (model_module, decode_module):
+        monkeypatch.setattr(module, "decode_step", counted)
+    return calls
+
+
+def test_decode_step_runs_once_per_target_token_and_per_decode_step(decode_step_calls):
+    # one epoch with a validation set: one call per target token (title +
+    # END) over train plus val, whatever the batching; a greedy decode: one
+    # call per step; the one-id form: one call, not one per row it lifts
+    vocab, examples = make_dataset(n_pairs=7, seed=9, title_lens=(1, 3, 2, 4))
+    hyper = small_hyper()
+    train(examples[:5], examples[5:], hyper, TrainConfig(lr=0.1, batch_size=2, epochs=1, seed=2))
+    assert len(decode_step_calls) == sum(len(ex.title_tokens) + 1 for ex in examples)
+
+    params = init_parameters(hyper, len(vocab), Rng(4))
+    decode_step_calls.clear()
+    best = decode_module.beam_search(["tok1", "tok2"], params, vocab, hyper, k=1)[0]
+    assert len(decode_step_calls) == len(best.token_ids)
+
+    base_ids, ext_ids, ev = encode_source(["tok1", "tok2"], vocab)
+    enc = model_module.encode(base_ids, params, hyper)
+    decode_step_calls.clear()
+    step = model_module.decode_step(START, enc.s0, enc, Tensor(np.zeros(2)), ext_ids, ev,
+                                    params, hyper)
+    assert len(decode_step_calls) == 1
+    assert step.p_star.shape == (len(ev),)
