@@ -247,10 +247,7 @@ def attention_step(s_t, H, cov, params, mask=None, keys=None):
     if keys is None:
         keys = _attention_keys(H, params)
     query = nm.linear(s_t, params["W_sh"], params["b_att"])
-    pre = nm.add(keys, nm.index(query, (slice(None), None)))  # one (M, a) block per row
-    if cov is not None:
-        pre = nm.add(pre, nm.mul(nm.index(cov, (..., None)), params["W_cv"]))
-    scores = nm.matmul(nm.tanh(pre), params["v"])
+    scores = nm.attention_scores(query, keys, cov, params["W_cv"], params["v"])
     a = nm.softmax(scores, mask)
     c = nm.matmul(a, H)
     return a, c
@@ -310,17 +307,12 @@ def _output_dist(h, ctx, x, a, ext_ids, ext_size, params, hyper):
     state rows ``h``, one per step or hypothesis, with context rows ``ctx``
     (or one context for every row), input embedding rows ``x`` and
     attention rows ``a``."""
-    vocab_dist = nm.softmax(nm.linear(nm.concat([h, ctx], axis=-1), params["W_v"],
-                                      params["b_v"]))
+    rows = nm.concat([h, ctx], axis=-1)
     if not hyper.copy:
-        return None, nm.pad_zeros(vocab_dist, ext_size)
+        return None, nm.output_dist(rows, params["W_v"], params["b_v"], ext_size)
     p_cg = nm.sigmoid(nm.add_n([nm.matmul(ctx, params["w_c"]), nm.matmul(h, params["w_s"]),
                                 nm.matmul(x, params["w_x"]), params["b_cg"]]))
-    gate = nm.index(p_cg, (slice(None), None))
-    copy_dist = nm.scatter_add(a, ext_ids, ext_size)
-    gen_dist = nm.pad_zeros(vocab_dist, ext_size)
-    keep = nm.add(1.0, nm.scale(gate, -1.0))  # 1 - p_cg
-    return p_cg, nm.add(nm.mul(gate, copy_dist), nm.mul(keep, gen_dist))
+    return p_cg, nm.output_dist(rows, params["W_v"], params["b_v"], ext_size, p_cg, a, ext_ids)
 
 
 def _to_base(idx, vocab_size):

@@ -1,11 +1,12 @@
 """Minimal dense-tensor kernel with reverse-mode automatic differentiation.
 
 Everything the encoder/decoder needs: linear maps, a whole-sequence LSTM,
-masked softmax, sigmoid/tanh, concatenation, indexing, gather/scatter, and a
+the additive attention scores, the output distribution with its copy mix,
+masked softmax, sigmoid/tanh, concatenation, indexing and gathers, and a
 central finite-difference gradient checker. The model ops work on rows: a
 linear map takes (k, in) rows, the LSTM a packed batch of sequences, and the
-elementwise ops, softmax, scatter and padding work row by row on the last
-axis. Values are float32 by default; wrap gradient checks in
+elementwise ops, softmax and the output distribution work row by row on the
+last axis. Values are float32 by default; wrap gradient checks in
 ``use_dtype(np.float64)`` for the doubled-precision test mode with tighter
 tolerances.
 """
@@ -66,7 +67,8 @@ class Tensor:
         they arrive. Factored weight gradients and updates at index arrays
         wait per tensor and are folded in just before that tensor's own
         backward runs (every consumer has reported by then): all factor
-        pairs as one product, all index-array updates with ``np.add.at``.
+        pairs as one product, then the index-array updates in arrival order
+        (``np.add.at``, or one indexed add where no index repeats).
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
@@ -121,9 +123,17 @@ def _outer_sum(left, right):
     return left.T @ right
 
 
+def _distinct(key):
+    """Whether ``key`` is a 1-D integer index array that names no row twice."""
+    return (isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu"
+            and (key.size < 2 or (key.min() >= 0 and np.bincount(key).max() == 1)))
+
+
 def _fold(t, factors, rows):
     """Add deferred gradients into ``t.grad``: the factor pairs as one
-    ``vstack(left).T @ vstack(right)`` product, then each row update."""
+    ``vstack(left).T @ vstack(right)`` product, then each row update. An
+    update whose rows are distinct is one indexed add: that adds once per
+    element, as ``np.add.at`` does, at a fraction of its cost."""
     if factors:
         prod = _outer_sum(np.vstack([f.left for f in factors]),
                           np.vstack([f.right for f in factors]))
@@ -134,7 +144,10 @@ def _fold(t, factors, rows):
     if rows and t.grad is None:
         t.grad = np.zeros_like(t.data)
     for r in rows:
-        np.add.at(t.grad, r.key, r.g)
+        if _distinct(r.key):
+            t.grad[r.key] += r.g
+        else:
+            np.add.at(t.grad, r.key, r.g)
 
 
 def _toposort(root):
@@ -217,19 +230,15 @@ def add_n(tensors):
 
 
 def matmul(a, b):
-    """``a @ b`` for a matrix or a stack of matrices times a vector, or a
-    matrix times a matrix. The right operand's gradient in the (2, 2) case
-    and the left one's in the (2, 1) case are deferred as factors."""
+    """``a @ b`` for a matrix times a vector or a matrix times a matrix.
+    The right operand's gradient in the (2, 2) case and the left one's in
+    the (2, 1) case are deferred as factors."""
     a, b = _wrap(a), _wrap(b)
     ad, bd = a.data, b.data
     ranks = ad.ndim, bd.ndim
     if ranks == (2, 1):
         def bw(g):
             return _Factors(g, bd), ad.T @ g
-
-    elif ranks == (3, 1):  # a stack of matrices, one vector
-        def bw(g):
-            return g[..., None] * bd, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1)
 
     elif ranks == (2, 2):
         def bw(g):
@@ -283,28 +292,6 @@ def gather_rows(m, indices):
     m = _wrap(m)
     idx = np.asarray(indices, dtype=np.int64)
     return Tensor(m.data[idx], (m,), lambda g: (_Rows(idx, g),))
-
-
-def scatter_add(values, indices, size):
-    """out[..., indices[j]] += values[..., j] over fresh zero rows of ``size``."""
-    values = _wrap(values)
-    key = (..., np.asarray(indices, dtype=np.int64))
-    out = np.zeros(values.data.shape[:-1] + (size,), dtype=values.data.dtype)
-    np.add.at(out, key, values.data)
-    return Tensor(out, (values,), lambda g: (g[key],))
-
-
-def pad_zeros(v, total):
-    """Extend each row (last axis) with zeros up to ``total`` entries."""
-    v = _wrap(v)
-    n = v.data.shape[-1]
-    if total < n:
-        raise ShapeError(f"cannot pad vector of size {n} to {total}")
-    if total == n:
-        return v
-    out = np.zeros(v.data.shape[:-1] + (total,), dtype=v.data.dtype)
-    out[..., :n] = v.data
-    return Tensor(out, (v,), lambda g: (g[..., :n],))
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +369,111 @@ def softmax(v, mask=None):
         if not mask.any(axis=-1).all():
             raise ValueError("softmax: all positions masked")
         x = np.where(mask, x, -np.inf)
+    p = _softmax(x, v.data.dtype)
+    return Tensor(p, (v,), lambda g: (_softmax_back(p, g),))
+
+
+def _softmax(x, dtype):
     ex = np.exp(x - x.max(axis=-1, keepdims=True))
-    p = (ex / ex.sum(axis=-1, keepdims=True)).astype(v.data.dtype)
+    return (ex / ex.sum(axis=-1, keepdims=True)).astype(dtype, copy=False)
+
+
+def _softmax_back(p, g):
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    return (p * (g - inner)).astype(p.dtype, copy=False)
+
+
+def attention_scores(query, keys, cov, w_cv, v):
+    """Additive attention scores tanh(keys + query + cov·w_cv)·v as one
+    graph node: (k, M) scores of query rows (k, a) against key rows (M, a),
+    with coverage rows ``cov`` (k, M) scaling ``w_cv`` (a,) at each source
+    position; ``cov=None`` drops that term. The node keeps the (k, M, a)
+    block once, as its tanh. Its backward runs the expressions of the
+    composed add / mul / tanh / matmul chain in that chain's order, so
+    every gradient is that chain's bit for bit."""
+    query, keys, v = _wrap(query), _wrap(keys), _wrap(v)
+    qd, kd, vd = query.data, keys.data, v.data
+    if qd.ndim != 2 or kd.ndim != 2 or qd.shape[1] != kd.shape[1] or vd.shape != kd.shape[1:]:
+        raise ShapeError(f"attention shapes query {qd.shape}, keys {kd.shape}, v {vd.shape}")
+    th = kd + qd[:, None]  # the pre-activation, then its tanh in place
+    # parents in this order: backward's walk then reaches every tensor
+    # above and below the node in the order it reached them in the chain
+    parents = (keys, query, v)
+    if cov is not None:
+        cov, w_cv = _wrap(cov), _wrap(w_cv)
+        if cov.shape != th.shape[:2] or w_cv.shape != vd.shape:
+            raise ShapeError(f"attention coverage {cov.shape} and w_cv {w_cv.shape} "
+                             f"do not fit scores {th.shape[:2]}")
+        ci = cov.data[..., None]
+        th += ci * w_cv.data
+        parents = (keys, query, cov, w_cv, v)
+    np.tanh(th, out=th)
 
     def bw(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return ((p * (g - inner)).astype(p.dtype),)
+        dv = th.reshape(-1, vd.shape[0]).T @ g.reshape(-1)
+        dpre = g[..., None] * vd * (1.0 - th * th)
+        grads = (_unbroadcast(dpre, kd.shape), _unbroadcast(dpre, (len(qd), 1, vd.shape[0])))
+        if cov is None:
+            return grads + (dv,)
+        return grads + (_unbroadcast(dpre * w_cv.data, ci.shape),
+                        _unbroadcast(dpre * ci, w_cv.shape), dv)
 
-    return Tensor(p, (v,), bw)
+    return Tensor(th @ vd, parents, bw)
+
+
+def output_dist(x, w, b, size, gate=None, attn=None, ext_ids=None):
+    """Rows of the output distribution over ``size`` >= V entries as one
+    graph node: softmax(x·Wᵀ + b) over the V rows of ``w``, padded with
+    zeros to ``size``. With a copy ``gate`` (k,), each row mixes that
+    distribution, weighted 1 - gate, with the attention rows ``attn``
+    (k, M) scattered onto ``ext_ids`` (M,), weighted gate. The node keeps
+    only the softmax rows beside its output and rebuilds the padded and
+    copy distributions in backward. Its backward runs the expressions of
+    the composed linear / add / softmax / pad / scatter / mix chain in
+    that chain's order, and hands W its gradient as the factor pair."""
+    x = _wrap(x)
+    xd, wd = x.data, w.data
+    vocab = wd.shape[0]
+    if xd.ndim != 2 or xd.shape[1] != wd.shape[1] or b.data.shape != (vocab,) or size < vocab:
+        raise ShapeError(f"output shapes x {xd.shape}, W {wd.shape}, b {b.data.shape}, "
+                         f"size {size}")
+    lin = np.ascontiguousarray((wd @ xd.T).T) + b.data  # as linear computes it
+    p = _softmax(lin, lin.dtype)
+
+    def padded():
+        if size == vocab:
+            return p
+        out = np.zeros((len(p), size), dtype=p.dtype)
+        out[:, :vocab] = p
+        return out
+
+    def back(dgen):  # the softmax, bias and product of the generator part
+        dlin = _softmax_back(p, dgen[:, :vocab])
+        return dlin @ wd, _Factors(dlin, xd), _unbroadcast(dlin, b.data.shape)
+
+    if gate is None:
+        return Tensor(padded(), (x, w, b), back)
+    gate, attn = _wrap(gate), _wrap(attn)
+    key = (..., np.asarray(ext_ids, dtype=np.int64))
+    if gate.shape != (len(p),) or attn.shape != (len(p), len(key[1])):
+        raise ShapeError(f"copy gate {gate.shape} and attention {attn.shape} "
+                         f"do not fit {len(p)} rows of {len(key[1])} source ids")
+
+    def copied():
+        out = np.zeros((len(p), size), dtype=attn.data.dtype)
+        np.add.at(out, key, attn.data)
+        return out
+
+    g_col = gate.data[:, None]
+    keep = 1.0 + g_col * -1.0
+
+    def bw(g):
+        dgate = (_unbroadcast(g * copied(), g_col.shape)
+                 + _unbroadcast(g * padded(), keep.shape) * -1.0)
+        return ((g * g_col)[key], dgate.reshape(gate.shape)) + back(g * keep)
+
+    # parents in the order in which the chain's walk reached them
+    return Tensor(g_col * copied() + keep * padded(), (attn, gate, x, w, b), bw)
 
 
 def lstm_seq(x, h0, c0, w, u, b, sizes):
@@ -495,11 +579,14 @@ def finite_diff_check(f, params, epsilon=1e-3, denom_floor=1e-4):
 
     Relative error is |analytic - numeric| / max(|analytic|, |numeric|,
     denom_floor); the floor keeps float32 round-off on near-zero
-    coordinates from dominating.
+    coordinates from dominating. ``f()`` returns one element, of any
+    shape, as ``Tensor.backward`` requires.
     """
     params = list(params)
     zero_grads(params)
     out = f()
+    if out.data.size != 1:
+        raise ValueError(f"finite_diff_check: f() must return one element, not shape {out.shape}")
     if not np.isfinite(out.data).all():
         raise ValueError("finite_diff_check: f() is not finite")
     out.backward()
@@ -512,9 +599,9 @@ def finite_diff_check(f, params, epsilon=1e-3, denom_floor=1e-4):
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + epsilon
-            fp = float(f().data)
+            fp = f().data.item()
             flat[j] = orig - epsilon
-            fm = float(f().data)
+            fm = f().data.item()
             flat[j] = orig
             num = (fp - fm) / (2.0 * epsilon)
             denom = max(abs(aflat[j]), abs(num), denom_floor)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import composed
 from c2q import numerics as nm
 from c2q import model as md
 from c2q.model import (ABLATION_PRESETS, EncodedExample, Hyperparams,
@@ -472,6 +473,97 @@ def test_lstm_seq_matches_composed_ops(ablation, dtype, monkeypatch):
         scale = max(np.abs(b).max() for b in composed[1:])
         for a, b in zip(fused[1:], composed[1:]):
             assert np.abs(a - b).max() <= rtol * scale
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ablation", sorted(ABLATION_PRESETS))
+def test_fused_attention_and_output_match_composed_ops_bitwise(ablation, dtype, monkeypatch):
+    # a batch's loss and every gradient, and a k-row decoder step, bit for
+    # bit with the attention scores and the output distribution built as
+    # the composed chains of tests/composed.py: the fused nodes repeat the
+    # chains' arithmetic, and backward's walk reaches and adds into every
+    # tensor in the chains' order. Tokens repeat and targets copy extended
+    # ids, so shared tensors sum gradients from many places.
+    def run(seed):
+        with nm.use_dtype(dtype):
+            hyper = tiny_hyper(embed=3 + seed, hidden=2 + seed, ablation=ablation)
+            params = init_parameters(hyper, 7, Rng(seed))
+            for t in params.values():
+                t.data *= 5  # attention that differs by step
+            rng = Rng(200 + seed)
+            examples = []
+            for k in range(4):
+                base, ext, oov, target = _random_example(rng, 7, 2 + k, 3 + k, n_oov=k % 3)
+                target[0] = ext[0]
+                examples.append(make_example(base, ext, oov, target, 7, params))
+            encs = md.encode_batch([ex.base_ids for ex in examples], params, hyper)
+            loss = nm.scale(nm.add_n([sequence_loss(ex, params, hyper, enc=enc)[0]
+                                      for ex, enc in zip(examples, encs)]), 0.25)
+            loss.backward()
+            ex, enc = examples[-1], encs[-1]
+            rows = [Tensor(rng.uniform(-1, 1, (3, hyper.hidden))) for _ in "hc"]
+            cov = Tensor(rng.uniform(0, 1, (3, len(ex.base_ids)))) if hyper.attention else None
+            step = decode_step(np.array([4, 1, 6]), tuple(rows), enc, cov, ex.ext_ids, ex.ev,
+                               params, hyper)
+            return [loss.data, *_step_arrays(step)] + [t.grad for t in params.values()]
+
+    for seed in range(3):
+        fused = run(seed)
+        with monkeypatch.context() as m:
+            m.setattr(nm, "attention_scores", composed.attention_scores)
+            m.setattr(nm, "output_dist", composed.output_dist)
+            chain = run(seed)
+        assert [g is None for g in fused] == [g is None for g in chain]
+        for got, want in zip(fused, chain):
+            if want is not None:
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got, want)
+
+
+def _held_arrays(root):
+    """Every array that the graph below ``root`` holds until backward ends:
+    each node's value and what its backward closure keeps, as the arrays
+    that own the memory (a view counts as its base)."""
+    owners, seen = {}, set()
+
+    def hold(obj):
+        if isinstance(obj, Tensor):
+            obj = obj.data
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                hold(item)
+        elif callable(obj) and id(obj) not in seen:
+            seen.add(id(obj))
+            for cell in getattr(obj, "__closure__", None) or ():
+                hold(cell.cell_contents)
+
+    for t in nm._toposort(root):
+        hold(t.data)
+        hold(t._backward)
+    return list(owners.values())
+
+
+def test_training_graph_holds_one_attention_block_per_step_and_two_vocab_rows_per_title():
+    # the memory a training step keeps until backward: one (1, M, a) block
+    # per decoder step (the attention tanh) and at most two arrays as wide
+    # as the vocabulary per title (the softmax rows and the output rows)
+    hyper = tiny_hyper(embed=4, hidden=3)
+    vocab_size, src_len = 40, 7
+    params = init_parameters(hyper, vocab_size, Rng(8))
+    base, ext, oov, target = _random_example(Rng(9), vocab_size, src_len, 5, n_oov=2)
+    target[1] = ext[0]
+    ex = make_example(base, ext, oov, target, vocab_size, params)
+    loss, _ = sequence_loss(ex, params, hyper)
+    weights = {id(t.data) for t in params.values()}
+    held = [a for a in _held_arrays(loss) if id(a) not in weights]
+    blocks = [a for a in held if a.shape == (1, src_len, hyper.hidden)]
+    vocab_wide = [a for a in held if a.ndim == 2 and a.shape[1] >= vocab_size]
+    assert len(blocks) == len(target)
+    assert len(vocab_wide) <= 2
 
 
 def _assert_grads_close(grads, ref_grads, rtol=1e-12):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import composed
 from c2q import numerics as nm
 from c2q.numerics import Rng, Tensor
 
@@ -265,13 +266,17 @@ def test_rng_identical_seeds_identical_streams():
 
 
 def test_scatter_add_and_pad():
-    v = Tensor([0.25, 0.5, 0.25])
-    out = nm.scatter_add(v, [2, 0, 2], 4)
-    assert np.allclose(out.data, [0.5, 0.0, 0.5, 0.0])
-    nm.index(out, 2).backward()
-    assert np.allclose(v.grad, [1.0, 0.0, 1.0])
-    padded = nm.pad_zeros(Tensor([1.0, 2.0]), 4)
-    assert np.allclose(padded.data, [1.0, 2.0, 0.0, 0.0])
+    # output_dist pads the generator's distribution with zeros and scatters
+    # the attention rows onto their ids, repeated ids adding up
+    x, w, b = Tensor([[1.0]]), Tensor(np.zeros((2, 1))), Tensor(np.zeros(2))
+    padded = nm.output_dist(x, w, b, 4)
+    assert np.allclose(padded.data, [[0.5, 0.5, 0.0, 0.0]])
+    attn = Tensor([[0.25, 0.5, 0.25]])
+    for gate, want in ((1.0, [0.5, 0.0, 0.5, 0.0]), (0.5, [0.5, 0.25, 0.25, 0.0])):
+        out = nm.output_dist(x, w, b, 4, Tensor([gate]), attn, [2, 0, 2])
+        assert np.allclose(out.data, [want])
+    nm.index(out, (0, 2)).backward()
+    assert np.allclose(attn.grad, [[0.5, 0.0, 0.5]])
 
 
 def test_minimum_subgradient():
@@ -296,36 +301,38 @@ def test_lstm_seq_rejects_mismatched_batch():
 
 
 def test_row_ops_match_per_row_ops_and_fold_weight_factors():
-    # linear, masked softmax, scatter_add, pad_zeros and a broadcasting
-    # concat on k rows give each row's result as a row of one, and the rows'
-    # gradients, W's folded from factors, match finite differences
+    # linear, masked softmax, a broadcasting concat and output_dist, which
+    # pads and scatters, on k rows give each row's result as a row of one,
+    # and the rows' gradients, W's folded from factors, match finite
+    # differences
     rng = Rng(41)
     with nm.use_dtype(np.float64):
         W = Tensor(rng.uniform(-1, 1, (4, 3)))
         bias = Tensor(rng.uniform(-1, 1, 4))
         X = Tensor(rng.uniform(-1, 1, (2, 3)))
         v = Tensor(rng.uniform(-1, 1, 2))
-        probe = Tensor(rng.uniform(-1, 1, (2, 8)))
+        W2, b2 = Tensor(rng.uniform(-1, 1, (4, 5))), Tensor(rng.uniform(-1, 1, 4))
+        gate = Tensor(rng.uniform(0, 1, 2))
+        probe = Tensor(rng.uniform(-1, 1, (2, 7)))
         mask = np.array([True, False, True, True])
-        idx = [3, 0, 3, 1]
+        idx = [3, 4, 3, 6]
 
-        def rows():
-            y = nm.softmax(nm.linear(X, W, bias), mask)
-            joined = nm.concat([nm.scatter_add(y, idx, 5), v], axis=-1)
-            return nm.pad_zeros(joined, 8)
+        def rows(r=slice(None)):
+            y = nm.softmax(nm.linear(nm.index(X, r), W, bias), mask)
+            return nm.output_dist(nm.concat([nm.index(X, r), v], axis=-1), W2, b2, 7,
+                                  nm.index(gate, r), y, idx)
 
         out = rows()
         for r in range(2):
-            y = nm.softmax(nm.linear(Tensor(X.data[r:r + 1]), W, bias), mask)
-            one = nm.pad_zeros(nm.concat([nm.scatter_add(y, idx, 5), v], axis=-1), 8)
+            one = rows(slice(r, r + 1))
             np.testing.assert_allclose(out.data[r], one.data[0], rtol=1e-12, atol=0)
-        # 0 receives only the masked position; no position scatters to 2
-        assert (out.data[:, [0, 2]] == 0).all()
+        # 4 receives only the masked position; no position scatters to 5
+        assert (out.data[:, [4, 5]] == 0).all()
 
         def f():
             return nm.sum_all(nm.mul(rows(), probe))
 
-        err = nm.finite_diff_check(f, [W, bias, X, v], epsilon=1e-6)
+        err = nm.finite_diff_check(f, [W, bias, X, v, W2, b2, gate], epsilon=1e-6)
         # W's gradient from the row form reaches backward as a factor pair
         y = nm.linear(X, W)
         assert isinstance(y._backward(np.ones(y.shape))[1], nm._Factors)
@@ -421,3 +428,158 @@ def test_outer_sum_equals_transposed_product_bitwise(dtype, rows):
         got = nm._outer_sum(left, right)
         assert got.dtype == dtype
         assert np.array_equal(got, left.T @ right)
+
+
+def test_finite_diff_accepts_one_element_outputs():
+    # Tensor.backward takes any one-element output, and so does the checker
+    w = Tensor([1.0, -2.0, 0.5])
+    for f in (lambda: nm.matmul(Tensor(np.ones((1, 3))), w),
+              lambda: nm.index(nm.mul(w, w), slice(1, 2))):
+        assert f().shape == (1,)
+        assert nm.finite_diff_check(f, [w], epsilon=1e-3) < 1e-3
+
+
+def test_finite_diff_rejects_outputs_of_several_elements():
+    w = Tensor([1.0, -2.0])
+    with pytest.raises(ValueError, match="one element"):
+        nm.finite_diff_check(lambda: nm.mul(w, w), [w])
+    assert w.grad is None  # rejected before any backward pass
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fold_adds_distinct_rows_as_add_at_does_bitwise(dtype):
+    # a permutation, repeated ids, one id and a negative id naming a row
+    # that also appears as itself; each gather's backward lands on a
+    # gradient that already holds values, over two passes
+    rng = Rng(3)
+    keys = [rng.permutation(6), np.array([0, 3, 0, 5]), np.array([4]), np.array([-1, 5])]
+    assert [nm._distinct(k) for k in keys] == [True, False, True, False]
+    with nm.use_dtype(dtype):
+        for key in keys:
+            E = Tensor(rng.uniform(-1, 1, (6, 3)))
+            probe = Tensor(rng.uniform(-1, 1, (len(key), 3)))
+            want = np.zeros_like(E.data)
+            for _ in range(2):
+                nm.sum_all(nm.mul(nm.gather_rows(E, key), probe)).backward()
+                np.add.at(want, key, probe.data)
+            assert E.grad.dtype == dtype
+            assert np.array_equal(E.grad, want)
+
+
+def _attention_inputs(rng, k, m=5, a=4, coverage=True):
+    query, keys = Tensor(rng.uniform(-1, 1, (k, a))), Tensor(rng.uniform(-1, 1, (m, a)))
+    cov = Tensor(rng.uniform(0, 2, (k, m))) if coverage else None
+    w_cv = Tensor(rng.uniform(-1, 1, a)) if coverage else None
+    return query, keys, cov, w_cv, Tensor(rng.uniform(-1, 1, a))
+
+
+def _output_inputs(rng, k, size, copy=True, vocab=6, in_dim=5, m=4):
+    x, w, b = (Tensor(rng.uniform(-1, 1, shape)) for shape in ((k, in_dim), (vocab, in_dim), vocab))
+    if not copy:
+        return x, w, b, size
+    attn = rng.uniform(0, 1, (k, m))
+    gate, attn = Tensor(rng.uniform(0, 1, k)), Tensor(attn / attn.sum(axis=1, keepdims=True))
+    ext_ids = [vocab + m - 3, 1, vocab + m - 3, size - 1]  # a repeat, an OOV id, the last id
+    return x, w, b, size, gate, attn, ext_ids
+
+
+def _leaves(args):
+    return [t for t in args if isinstance(t, Tensor)]
+
+
+def _value_and_grads(op, args, probe):
+    leaves = _leaves(args)
+    nm.zero_grads(leaves)
+    out = op(*args)
+    nm.sum_all(nm.mul(out, Tensor(probe))).backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("coverage", [True, False], ids=["coverage", "no-coverage"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_attention_scores_match_composed_chain_bitwise(k, coverage, dtype):
+    rng = Rng(10 * k + coverage)
+    with nm.use_dtype(dtype):
+        args = _attention_inputs(rng, k, coverage=coverage)
+        probe = rng.uniform(-1, 1, (k, 5))
+        fused = _value_and_grads(nm.attention_scores, args, probe)
+        chain = _value_and_grads(composed.attention_scores, args, probe)
+    assert len(fused) == len(chain) == (6 if coverage else 4)
+    for got, want in zip(fused, chain):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("copy", [True, False], ids=["copy", "no-copy"])
+@pytest.mark.parametrize("size", [6, 9], ids=["vocab", "padded"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_output_dist_matches_composed_chain_bitwise(k, size, copy, dtype):
+    if copy and size == 6:
+        size = 8  # the copy ids reach past the vocabulary
+    rng = Rng(10 * k + size + copy)
+    with nm.use_dtype(dtype):
+        args = _output_inputs(rng, k, size, copy)
+        probe = rng.uniform(-1, 1, (k, size))
+        fused = _value_and_grads(nm.output_dist, args, probe)
+        chain = _value_and_grads(composed.output_dist, args, probe)
+        out = nm.output_dist(*args)
+        # W's gradient reaches backward as the factor pair (g, x)
+        assert isinstance(out._backward(np.ones(out.shape))[-2], nm._Factors)
+    assert len(fused) == len(chain) == (6 if copy else 4)
+    for got, want in zip(fused, chain):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+    np.testing.assert_allclose(fused[0].sum(axis=1), 1.0, rtol=1e-5)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("masked", [True, False], ids=["mask", "no-mask"])
+@pytest.mark.parametrize("coverage", [True, False], ids=["coverage", "no-coverage"])
+def test_attention_scores_gradients_match_finite_differences(coverage, masked):
+    rng = Rng(31 + coverage)
+    mask = np.array([True, False, True, True, False]) if masked else None
+    with nm.use_dtype(np.float64):
+        args = _attention_inputs(rng, 2, coverage=coverage)
+        probe = Tensor(rng.uniform(-1, 1, (2, 5)))
+
+        def f():
+            return nm.sum_all(nm.mul(nm.softmax(nm.attention_scores(*args), mask), probe))
+
+        err = nm.finite_diff_check(f, _leaves(args), epsilon=1e-6)
+    assert err < 1e-6
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("copy", [True, False], ids=["copy", "no-copy"])
+def test_output_dist_gradients_match_finite_differences(copy):
+    rng = Rng(33 + copy)
+    with nm.use_dtype(np.float64):
+        args = _output_inputs(rng, 2, 9, copy)
+        probe = Tensor(rng.uniform(-1, 1, (2, 9)))
+
+        def f():
+            return nm.sum_all(nm.log(nm.clamp_min(nm.mul(nm.output_dist(*args), probe),
+                                                  1e-12)))
+
+        # a probe of positive entries keeps the log away from its floor
+        probe.data[...] = np.abs(probe.data) + 0.1
+        err = nm.finite_diff_check(f, _leaves(args), epsilon=1e-6)
+    assert err < 1e-6
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    rng = Rng(5)
+    query, keys, cov, w_cv, v = _attention_inputs(rng, 2)
+    for bad in ((query, Tensor(np.zeros((5, 3))), cov, w_cv, v),
+                (query, keys, Tensor(np.zeros((2, 4))), w_cv, v),
+                (Tensor(np.zeros(4)), keys, None, w_cv, v)):
+        with pytest.raises(nm.ShapeError):
+            nm.attention_scores(*bad)
+    x, w, b, size, gate, attn, ext_ids = _output_inputs(rng, 2, 9)
+    for bad in ((x, w, b, 5), (Tensor(np.zeros((2, 4))), w, b, 9),
+                (x, w, b, 9, Tensor(np.zeros(3)), attn, ext_ids),
+                (x, w, b, 9, gate, attn, ext_ids[:3])):
+        with pytest.raises(nm.ShapeError):
+            nm.output_dist(*bad)
