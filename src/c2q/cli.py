@@ -291,38 +291,6 @@ def _cmd_train(args):
     return EXIT_OK
 
 
-def _read_snippets(args):
-    """Snippet records: JSONL lines with code_tokens or code (+lang)."""
-    fh = open(args.input, encoding="utf-8") if args.input else sys.stdin
-    snippets = []
-    try:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"snippet line {lineno}: bad JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"snippet line {lineno}: not a JSON object")
-            if "code_tokens" in obj:
-                snippets.append(corpus.token_list(obj["code_tokens"],
-                                                  f"snippet line {lineno}: code_tokens"))
-            elif "code" in obj:
-                code, lang = obj["code"], obj.get("lang", args.lang)
-                if not (corpus.is_utf8(code) and corpus.is_utf8(lang)):
-                    raise DataError(
-                        f"snippet line {lineno}: code and lang must be UTF-8 strings")
-                snippets.append(corpus.tokenize_code(code, lang))
-            else:
-                raise DataError(f"snippet line {lineno}: need code_tokens or code")
-    finally:
-        if args.input:
-            fh.close()
-    return snippets
-
-
 def _generate_one(tokens, params, vocab, hyper, args, max_len):
     if args.greedy:
         decoded, attns = greedy_decode_full(tokens, params, vocab, hyper, max_len)
@@ -340,7 +308,7 @@ def _cmd_generate(args):
     params, hyper, _ = load_checkpoint(args.checkpoint,
                                        expected_vocab_hash=vocab.content_hash())
     titles = [_generate_one(s, params, vocab, hyper, args, args.max_len)
-              for s in _read_snippets(args)]
+              for s in corpus.read_snippets(args.input, args.lang)]
     for title in titles:
         print(title)
     return EXIT_OK
@@ -408,7 +376,7 @@ def _cmd_retrieve(args):
     train_pairs = corpus.read_pairs(args.train_pairs)
     vocab = Vocabulary.load(args.vocab)
     E = _embedding_matrix(args, vocab)
-    snippets = _read_snippets(args)
+    snippets = corpus.read_snippets(args.input, args.lang)
     embedded = retrieval.embed_corpus(train_pairs, E, vocab)
     for tokens in snippets:
         for title, sim, doc_id in retrieval.topk_similar(tokens, embedded, E,

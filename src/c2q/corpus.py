@@ -1,5 +1,6 @@
 """Mining <code snippet, question title> pairs from raw post records.
 
+Every JSON-lines input (posts, pairs, snippets) goes through one reader.
 Raw posts arrive as JSONL; code blocks inside a post body are delimited by
 lines containing exactly ``<code>`` and ``</code>``. Tokenization strips
 comments per language and normalizes numeric/string literals to NUMBER and
@@ -8,9 +9,11 @@ STRING placeholder tokens.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 from .files import replace_atomically
 from .numerics import Rng
@@ -67,11 +70,6 @@ class SkipReport:
     no_code: int = 0
     empty_title: int = 0
     malformed_markers: int = 0
-    skipped_ids: list = field(default_factory=list)
-
-    @property
-    def total(self):
-        return self.low_score + self.no_code + self.empty_title + self.malformed_markers
 
 
 def extract_pairs(posts, min_score=1):
@@ -84,21 +82,17 @@ def extract_pairs(posts, min_score=1):
     for post in posts:
         if post.score < min_score:
             report.low_score += 1
-            report.skipped_ids.append(post.id)
             continue
         if not post.title.strip():
             report.empty_title += 1
-            report.skipped_ids.append(post.id)
             continue
         try:
             blocks = _code_blocks(post.body)
         except DataError:
             report.malformed_markers += 1
-            report.skipped_ids.append(post.id)
             continue
         if not blocks:
             report.no_code += 1
-            report.skipped_ids.append(post.id)
             continue
         candidates.append(Candidate(post.id, post.lang, post.title, "\n".join(blocks)))
     return candidates, report
@@ -273,24 +267,38 @@ def split_dataset(pairs, split):
 # JSONL I/O
 
 
-def read_posts(path):
-    posts = []
-    with open(path, encoding="utf-8") as fh:
+def _read_records(path, kind, make):
+    """``make(obj)`` of every JSON object in the JSON-lines file ``path``
+    (stdin when None), blank lines skipped. A rejected line, one nested too
+    deep to parse included, ends the read in a DataError naming its
+    ``file:line``."""
+    name = "<stdin>" if path is None else path
+    records = []
+    with (contextlib.nullcontext(sys.stdin) if path is None
+          else open(path, encoding="utf-8")) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
-                if not all(is_utf8(obj[k]) for k in ("lang", "title", "body")):
-                    raise TypeError("lang, title and body must be UTF-8 strings")
-                posts.append(RawPost(id=_json_int(obj, "id"), lang=obj["lang"],
-                                     title=obj["title"], body=obj["body"],
-                                     score=_json_int(obj, "score")))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    OverflowError) as exc:
-                raise DataError(f"{path}:{lineno}: bad post record: {exc}") from exc
-    return posts
+                if not isinstance(obj, dict):
+                    raise TypeError("not a JSON object")
+                records.append(make(obj))
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+                raise DataError(f"{name}:{lineno}: bad {kind} record: {exc}") from exc
+    return records
+
+
+def _post(obj):
+    if not all(is_utf8(obj[k]) for k in ("lang", "title", "body")):
+        raise TypeError("lang, title and body must be UTF-8 strings")
+    return RawPost(id=_json_int(obj, "id"), lang=obj["lang"], title=obj["title"],
+                   body=obj["body"], score=_json_int(obj, "score"))
+
+
+def read_posts(path):
+    return _read_records(path, "post", _post)
 
 
 def _json_int(obj, key):
@@ -338,20 +346,28 @@ def write_pairs(pairs, path):
                                  "title_tokens": p.title_tokens}) + "\n")
 
 
+def _pair(obj):
+    return QCPair(id=_json_int(obj, "id"), lang=obj["lang"],
+                  code_tokens=token_list(obj["code_tokens"], "code_tokens"),
+                  title_tokens=token_list(obj["title_tokens"], "title_tokens"))
+
+
 def read_pairs(path):
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                pairs.append(QCPair(
-                    id=_json_int(obj, "id"), lang=obj["lang"],
-                    code_tokens=token_list(obj["code_tokens"], "code_tokens"),
-                    title_tokens=token_list(obj["title_tokens"], "title_tokens")))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    OverflowError) as exc:
-                raise DataError(f"{path}:{lineno}: bad pair record: {exc}") from exc
-    return pairs
+    return _read_records(path, "pair", _pair)
+
+
+def read_snippets(path, lang):
+    """Code token lists of snippet records (stdin when ``path`` is None):
+    each holds ``code_tokens``, or ``code`` tokenized as its ``lang``
+    (``lang`` when it names none)."""
+    def snippet(obj):
+        if "code_tokens" in obj:
+            return token_list(obj["code_tokens"], "code_tokens")
+        if "code" not in obj:
+            raise DataError("need code_tokens or code")
+        code, code_lang = obj["code"], obj.get("lang", lang)
+        if not (is_utf8(code) and is_utf8(code_lang)):
+            raise DataError("code and lang must be UTF-8 strings")
+        return tokenize_code(code, code_lang)
+
+    return _read_records(path, "snippet", snippet)

@@ -36,14 +36,13 @@ def _overlaps(candidates, references, n):
     return tallies
 
 
-def _bleu(tallies, smooth=0):
-    """BLEU over the orders in ``tallies``, each count plus ``smooth``;
-    unsmoothed, 0 if any precision is 0."""
+def _bleu(tallies):
+    """BLEU over the orders in ``tallies``; 0 if any precision is 0."""
     logs = []
     for match, total, _ in tallies:
-        if not smooth and match == 0:
+        if match == 0:
             return 0.0
-        logs.append(math.log((match + smooth) / (total + smooth)))
+        logs.append(math.log(match / total))
     geo = math.exp(sum(logs) / len(tallies))
     _, cand_len, ref_len = tallies[0]
     bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / max(1, cand_len))
@@ -56,11 +55,6 @@ def bleu(candidates, references, n=4):
     the candidate corpus is shorter. 0 if any pooled precision is 0."""
     _check_corpus(candidates, references)
     return _bleu(_overlaps(candidates, references, n))
-
-
-def sentence_bleu_smoothed(candidate, reference, n=4):
-    """Add-one smoothed sentence-level BLEU; debugging aid only."""
-    return _bleu(_overlaps([candidate], [reference], n), smooth=1)
 
 
 def _prf(match, cand_total, ref_total):

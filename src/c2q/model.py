@@ -11,7 +11,7 @@ a copy gate, and the mixture distribution over the extended vocabulary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,33 +76,11 @@ class Hyperparams:
         return "coverage" in self.ablation
 
 
-class Parameters:
-    """Named learnable tensors; iteration order is fixed by insertion."""
-
-    def __init__(self, tensors):
-        self.tensors = dict(tensors)
-
-    def __getitem__(self, name):
-        return self.tensors[name]
-
-    def names(self):
-        return list(self.tensors)
-
-    def items(self):
-        return self.tensors.items()
-
-    def values(self):
-        return self.tensors.values()
-
-    def zero_grads(self):
-        nm.zero_grads(self.tensors.values())
-
-
 def init_parameters(hyper, vocab_size, rng):
-    """Uniform(-0.1, 0.1) weights, zero biases."""
-    return Parameters(_layout(hyper, vocab_size,
-                              w=lambda *shape: Tensor(rng.uniform(-0.1, 0.1, shape)),
-                              zeros=lambda *shape: Tensor(np.zeros(shape))))
+    """Name -> learnable Tensor, in a fixed order: uniform(-0.1, 0.1)
+    weights, zero biases."""
+    return _layout(hyper, vocab_size, w=lambda *shape: Tensor(rng.uniform(-0.1, 0.1, shape)),
+                   zeros=lambda *shape: Tensor(np.zeros(shape)))
 
 
 def parameter_shapes(hyper, vocab_size):
@@ -168,7 +146,6 @@ class EncodedExample:
     ext_ids: list
     ev: object
     target_ids: list     # extended ids, END included
-    title_tokens: list = field(default_factory=list)
 
 
 def _bilstm(x, params, layer, zeros, sizes, rev):
@@ -219,7 +196,7 @@ def encode_batch(sources, params, hyper):
                             for k in (0, 1))
     s0_h = nm.tanh(nm.linear(summary_h, params["W_b"], params["b_b"]))
     s0_c = nm.tanh(nm.linear(summary_c, params["W_b"], params["b_b"]))
-    keys = _attention_keys(H, params) if hyper.attention else None
+    keys = nm.linear(H, params["W_eh"]) if hyper.attention else None
     encs, ends = [None] * len(sources), np.cumsum(lengths)
     for j, (src, end) in enumerate(zip(order, ends)):
         own = slice(end - lengths[j], end)
@@ -234,18 +211,12 @@ def encode(base_ids, params, hyper):
     return encode_batch([base_ids], params, hyper)[0]
 
 
-def _attention_keys(H, params):
-    return nm.linear(H, params["W_eh"])
-
-
-def attention_step(s_t, H, cov, params, mask=None, keys=None):
+def attention_step(s_t, H, keys, cov, params, mask=None):
     """(a_t, c_t) of decoder state rows ``s_t`` (k, h): attention rows
     (k, M), each a softmax over the source rows of H, and the weighted
-    contexts (k, 2h). ``cov`` (k, M) holds the coverage rows; None drops
-    the coverage term. ``keys`` are H·W_ehᵀ as ``encode`` computes them once
-    per source; None recomputes them."""
-    if keys is None:
-        keys = _attention_keys(H, params)
+    contexts (k, 2h). ``keys`` are H·W_ehᵀ as ``encode`` computes them once
+    per source. ``cov`` (k, M) holds the coverage rows; None drops the
+    coverage term."""
     query = nm.linear(s_t, params["W_sh"], params["b_att"])
     scores = nm.attention_scores(query, keys, cov, params["W_cv"], params["v"])
     a = nm.softmax(scores, mask)
@@ -288,8 +259,8 @@ def _step_rows(y_prev_ids, state, enc, cov, ext_ids, ev, params, hyper, mask, ou
     h, c_state = (nm.index(out, (slice(None), k)) for k in (0, 1))
 
     if hyper.attention:
-        a, ctx = attention_step(h, enc.H, cov if hyper.coverage else None, params, mask,
-                                enc.keys)
+        a, ctx = attention_step(h, enc.H, enc.keys, cov if hyper.coverage else None, params,
+                                mask)
         cov_next = nm.add(cov, a) if cov is not None else None
     else:
         a, ctx, cov_next = None, enc.summary, cov
@@ -375,5 +346,4 @@ def encode_example(pair, vocab):
     base_ids, ext_ids, ev = encode_source(pair.code_tokens, vocab)
     target_ids = encode_target(pair.title_tokens, vocab, ev)
     return EncodedExample(id=pair.id, base_ids=base_ids, ext_ids=ext_ids,
-                          ev=ev, target_ids=target_ids,
-                          title_tokens=list(pair.title_tokens))
+                          ev=ev, target_ids=target_ids)

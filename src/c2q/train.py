@@ -14,8 +14,7 @@ import numpy as np
 
 from . import numerics as nm
 from .files import replace_atomically
-from .model import (Hyperparams, Parameters, encode_batch, init_parameters,
-                    parameter_shapes, sequence_loss)
+from .model import Hyperparams, encode_batch, init_parameters, parameter_shapes, sequence_loss
 from .numerics import Rng
 
 CHECKPOINT_MAGIC = b"C2Q1"
@@ -121,7 +120,7 @@ def _sgd_step(batch, params, hyper, config):
     """One clipped SGD update from a batch; returns the batch loss. The
     batch's graph is freed on return, before the next batch or validation
     builds another."""
-    params.zero_grads()
+    nm.zero_grads(params.values())
     batch_loss = nm.scale(nm.add_n(_losses(batch, params, hyper)), 1.0 / len(batch))
     value = float(batch_loss.data)
     if not np.isfinite(value):
@@ -206,7 +205,7 @@ def save_checkpoint(params, hyper, vocab_hash, path):
 
 
 def load_checkpoint(path, expected_vocab_hash=None):
-    """(Parameters, Hyperparams, vocab_hash); verifies format and hash. Each
+    """(name -> Tensor, Hyperparams, vocab_hash); verifies format and hash. Each
     tensor is read straight into its own array, so a load holds the file's
     tensors once."""
     with open(path, "rb") as fh:
@@ -223,7 +222,7 @@ def load_checkpoint(path, expected_vocab_hash=None):
             raise CheckpointTruncatedError(f"{path}: truncated header")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointFormatError(f"{path}: bad header: {exc}") from exc
         hyper, vocab_hash, manifest = _check_header(header, path)
         if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
@@ -247,7 +246,7 @@ def load_checkpoint(path, expected_vocab_hash=None):
             offset = end
     if offset != data_len:
         raise CheckpointFormatError(f"{path}: {data_len - offset} trailing bytes")
-    return Parameters(tensors), hyper, vocab_hash
+    return tensors, hyper, vocab_hash
 
 
 def _check_header(header, path):

@@ -38,9 +38,6 @@ class Vocabulary:
     def __contains__(self, token):
         return token in self.token_to_id
 
-    def id_of(self, token):
-        return self.token_to_id.get(token, UNK)
-
     def content_hash(self):
         h = hashlib.sha256()
         for t in self.id_to_token:

@@ -463,6 +463,48 @@ def test_malformed_snippet_is_data_error(workdir, capsys, tmp_path, line):
         assert out.out == ""
         assert len(_error_lines(out.err)) == 1
         assert out.err.startswith("error kind=data")
+        assert f"{snippets}:2:" in out.err
+
+
+NESTED = "[" * 100_000  # a JSON line too deep for the parser to recurse through
+
+
+@pytest.mark.parametrize("kind,argv", [
+    ("posts", ["preprocess", "--out-dir", "{tmp}/out", "--input"]),
+    ("pairs", ["build-vocab", "--out", "{tmp}/vocab.txt", "--pairs"]),
+    ("pairs", ["ir-baseline", "--train-pairs", "{train}", "--test-pairs"]),
+    ("snippets", ["generate", "--checkpoint", "{ckpt}", "--vocab", "{vocab}", "--greedy",
+                  "--input"]),
+    ("snippets", ["retrieve", "--train-pairs", "{train}", "--vocab", "{vocab}"]),
+], ids=["preprocess", "build-vocab", "ir-baseline", "generate", "retrieve-stdin"])
+def test_deeply_nested_line_names_its_file_and_line(workdir, capsys, tmp_path, monkeypatch,
+                                                    kind, argv):
+    first = json.dumps(VALID_RECORDS[kind])
+    argv = [a.format(tmp=tmp_path, **workdir) for a in argv]
+    if argv[-1].startswith("--"):
+        path = tmp_path / "input.jsonl"
+        path.write_text(f"{first}\n{NESTED}\n")
+        argv.append(str(path))
+    else:  # the records arrive on stdin
+        path = "<stdin>"
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{first}\n{NESTED}\n"))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(_error_lines(err)) == 1 and err.startswith("error kind=data")
+    assert f"{path}:2:" in err
+
+
+def test_deeply_nested_checkpoint_header_is_data_error(workdir, capsys, tmp_path):
+    header = NESTED.encode()
+    ckpt = tmp_path / "nested.ckpt"
+    ckpt.write_bytes(b"C2Q1" + struct.pack("<II", 1, len(header)) + header)
+    snippets = tmp_path / "s.jsonl"
+    snippets.write_text('{"code": "x = 1"}\n')
+    assert run(["generate", "--checkpoint", str(ckpt), "--vocab", workdir["vocab"],
+                "--input", str(snippets), "--greedy"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(_error_lines(out.err)) == 1
+    assert out.err.startswith("error kind=data") and "bad header" in out.err
 
 
 @pytest.mark.parametrize("field", ["lang", "title", "body"])

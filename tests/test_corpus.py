@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c2q import corpus
-from c2q.corpus import (QCPair, RawPost, SplitSpec, extract_pairs,
+from c2q.corpus import (QCPair, RawPost, SkipReport, SplitSpec, extract_pairs,
                         filter_pairs, make_pair, split_dataset,
                         tokenize_code, tokenize_title)
 
@@ -27,7 +27,7 @@ def test_extract_minimal_passing_case():
     cands, report = extract_pairs([post(1, score=1)])
     assert len(cands) == 1
     assert cands[0].code == "x = 1"
-    assert report.total == 0
+    assert report == SkipReport()
 
 
 def test_extract_counts_missing_code_blocks():
@@ -50,7 +50,6 @@ def test_extract_skips_empty_title_and_malformed():
     assert cands == []
     assert report.empty_title == 1
     assert report.malformed_markers == 1
-    assert report.skipped_ids == [1, 2]
 
 
 @pytest.mark.parametrize("text,lang,expected", [

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c2q.metrics import (bleu, lcs_length, rouge_l, rouge_n, score_report,
-                         sentence_bleu_smoothed)
+from c2q.metrics import bleu, lcs_length, rouge_l, rouge_n, score_report
 from c2q.numerics import Rng
 
 
@@ -46,11 +45,6 @@ def test_bleu_precision_monotone_in_n():
     refs = [["a", "b", "c", "d"], ["a", "b", "c", "d"]]
     scores = [bleu(cands, refs, n) for n in range(1, 5)]
     assert scores == sorted(scores, reverse=True)
-
-
-def test_sentence_bleu_smoothed_in_range():
-    s = sentence_bleu_smoothed(["a", "b"], ["a", "c"])
-    assert 0.0 < s < 1.0
 
 
 def test_rouge_n_identical():
@@ -177,15 +171,6 @@ def _ref_bleu(candidates, references, n):
     return math.exp(sum(math.log(p) for p in precisions) / n) * _ref_bp(cand_len, ref_len)
 
 
-def _ref_sentence_bleu(candidate, reference, n):
-    logs = []
-    for k in range(1, n + 1):
-        cgrams, rgrams = _ref_ngrams(candidate, k), _ref_ngrams(reference, k)
-        match = sum(min(c, rgrams[g]) for g, c in cgrams.items())
-        logs.append(math.log((match + 1) / (sum(cgrams.values()) + 1)))
-    return math.exp(sum(logs) / n) * _ref_bp(len(candidate), len(reference))
-
-
 def _ref_rouge_n(candidates, references, n):
     match = cand_total = ref_total = 0
     for cand, ref in zip(candidates, references):
@@ -211,5 +196,3 @@ def test_shared_tally_equals_per_order_reference(pairs, n):
                       "rougeL": rouge_l(cands, refs).as_dict(), "pairs": len(cands)}
     assert bleu(cands, refs, n) == _ref_bleu(cands, refs, n)
     assert rouge_n(cands, refs, n).as_dict() == _ref_rouge_n(cands, refs, n)
-    for cand, ref in pairs:
-        assert sentence_bleu_smoothed(cand, ref, n) == _ref_sentence_bleu(cand, ref, n)

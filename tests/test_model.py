@@ -119,7 +119,7 @@ def test_attention_single_position():
     params = init_parameters(hyper, 10, Rng(1))
     enc = encode([5], params, hyper)
     s = Tensor(Rng(2).uniform(-1, 1, (1, hyper.hidden)))
-    a, _ = attention_step(s, enc.H, None, params)
+    a, _ = attention_step(s, enc.H, enc.keys, None, params)
     assert np.allclose(a.data, [1.0])
 
 
@@ -128,7 +128,7 @@ def test_attention_identical_rows_uniform():
     params = init_parameters(hyper, 10, Rng(1))
     H = Tensor(np.ones((4, 2 * hyper.hidden)))
     s = Tensor(Rng(2).uniform(-1, 1, (1, hyper.hidden)))
-    a, c = attention_step(s, H, None, params)
+    a, c = attention_step(s, H, nm.linear(H, params["W_eh"]), None, params)
     assert np.allclose(a.data, [0.25] * 4, atol=1e-6)
     assert np.allclose(c.data, np.ones(2 * hyper.hidden), atol=1e-6)
 
@@ -143,8 +143,9 @@ def test_attention_precomputed_keys_match_recomputed(dtype):
         s = Tensor(rng.uniform(-1, 1, (1, hyper.hidden)))
         cov = Tensor(rng.uniform(0, 1, (1, 5)))
         mask = np.array([True, True, False, True, True])
-        with_keys = attention_step(s, enc.H, cov, params, mask, keys=enc.keys)
-        recomputed = attention_step(s, enc.H, cov, params, mask)
+        with_keys = attention_step(s, enc.H, enc.keys, cov, params, mask)
+        recomputed = attention_step(s, enc.H, nm.linear(enc.H, params["W_eh"]), cov, params,
+                                    mask)
     assert enc.keys.data.dtype == dtype
     for got, want in zip(with_keys, recomputed):
         assert got.data.dtype == dtype
@@ -167,7 +168,7 @@ def test_attention_matches_hand_computation():
     H = Tensor(rng.uniform(-1, 1, (2, 4)))
     s = Tensor(rng.uniform(-1, 1, (1, 2)))
     cov = Tensor(np.array([[0.3, 0.7]]))
-    a, c = attention_step(s, H, cov, params)
+    a, c = attention_step(s, H, nm.linear(H, params["W_eh"]), cov, params)
 
     w_eh, w_sh = params["W_eh"].data, params["W_sh"].data
     w_cv, b_att, v = params["W_cv"].data, params["b_att"].data, params["v"].data
@@ -398,7 +399,7 @@ def test_overfit_single_example_loss_nonincreasing():
     ex = make_example(base, ext, oov, target, vocab_size, params)
     prev = float("inf")
     for _ in range(50):
-        params.zero_grads()
+        nm.zero_grads(params.values())
         loss, _ = sequence_loss(ex, params, hyper)
         value = float(loss.data)
         assert value <= prev + 1e-6
@@ -599,7 +600,7 @@ def _reference_encode(base_ids, params, hyper):
     summary = [nm.concat([nm.index(fw, (-1, k)), nm.index(bw, (0, k))]) for k in (0, 1)]
     s0 = tuple(nm.index(nm.tanh(nm.linear(nm.index(v, None), params["W_b"], params["b_b"])), 0)
                for v in summary)
-    keys = md._attention_keys(H, params) if hyper.attention else None
+    keys = nm.linear(H, params["W_eh"]) if hyper.attention else None
     return md.EncoderOutput(H=H, s0=s0, summary=summary[0], keys=keys)
 
 
@@ -619,7 +620,7 @@ def test_encode_batch_matches_per_example_encode(ablation):
                   for enc in md.encode_batch(sources, params, hyper)]
 
         def run(encs):
-            params.zero_grads()
+            nm.zero_grads(params.values())
             nm.add_n([nm.sum_all(nm.mul(t, p)) for enc, ps in zip(encs, probes)
                       for t, p in zip(_encoder_fields(enc), ps)]).backward()
             return ([[t.data for t in _encoder_fields(enc)] for enc in encs],
@@ -686,7 +687,7 @@ def test_one_projection_sequence_loss_matches_stepwise_reference(ablation):
         ex.target_ids = [9, 5, 5, 10, 9, END]
         results = []
         for fn in (sequence_loss, _stepwise_loss):
-            params.zero_grads()
+            nm.zero_grads(params.values())
             loss, logps = fn(ex, params, hyper)
             loss.backward()
             results.append((loss.data, logps, [t.grad for t in params.values()]))

@@ -55,7 +55,7 @@ def test_embed_single_token_is_normalized_row():
     vocab = small_vocab()
     E = Rng(0).uniform(-1, 1, (len(vocab), 8))
     emb = embed_code(["a"], E, vocab)
-    row = E[vocab.id_of("a")]
+    row = E[vocab.token_to_id["a"]]
     assert np.allclose(emb.vector, row / np.linalg.norm(row), atol=1e-6)
 
 

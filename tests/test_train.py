@@ -15,8 +15,8 @@ from c2q import decode as decode_module
 from c2q import files as files_module
 from c2q import model as model_module
 from c2q.corpus import QCPair
-from c2q.model import (ABLATION_PRESETS, Hyperparams, Parameters,
-                       encode_example, init_parameters, sequence_loss)
+from c2q.model import (ABLATION_PRESETS, Hyperparams, encode_example, init_parameters,
+                       sequence_loss)
 from c2q.numerics import Rng, Tensor
 from c2q.train import (CHECKPOINT_MAGIC, CheckpointError, CheckpointFormatError,
                        CheckpointHashError, CheckpointTruncatedError,
@@ -68,7 +68,7 @@ def test_same_seed_training_is_bit_identical():
         params, log = train(examples, examples[:2], hyper, config)
         runs.append((params, log))
     p1, p2 = runs[0][0], runs[1][0]
-    for name in p1.names():
+    for name in p1:
         assert np.array_equal(p1[name].data, p2[name].data), name
     assert [e.train_loss for e in runs[0][1]] == \
            [e.train_loss for e in runs[1][1]]
@@ -90,10 +90,10 @@ def test_training_reduces_loss_and_memorizes_single_pair():
 
 def test_clip_reduces_norm_and_preserves_direction():
     rng = Rng(9)
-    params = Parameters({
+    params = {
         "a": Tensor(rng.uniform(-1, 1, (4, 3)).astype(np.float32)),
         "b": Tensor(rng.uniform(-1, 1, (5,)).astype(np.float32)),
-    })
+    }
     for t in params.values():
         t.grad = rng.uniform(-10, 10, t.data.shape).astype(np.float32)
     before = {k: t.grad.copy() for k, t in params.items()}
@@ -109,7 +109,7 @@ def test_clip_reduces_norm_and_preserves_direction():
 
 
 def test_clip_noop_when_under_threshold():
-    params = Parameters({"a": Tensor(np.zeros(3, dtype=np.float32))})
+    params = {"a": Tensor(np.zeros(3, dtype=np.float32))}
     params["a"].grad = np.array([0.1, 0.0, 0.0], dtype=np.float32)
     norm = clip_global_norm(params, 5.0)
     assert norm == pytest.approx(0.1)
@@ -130,8 +130,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, seed):
     loaded, loaded_hyper, vhash = load_checkpoint(path, "hash123")
     assert vhash == "hash123"
     assert loaded_hyper == hyper
-    assert sorted(loaded.names()) == sorted(params.names())
-    for name in params.names():
+    assert sorted(loaded) == sorted(params)
+    for name in params:
         assert loaded[name].data.dtype == np.float32
         assert np.array_equal(loaded[name].data, params[name].data), name
 
@@ -315,7 +315,7 @@ def test_checkpoint_with_an_unread_hyperparam_loads(tmp_path):
                                                           "vocab_min_freq": 1}})
     loaded, loaded_hyper, _ = load_checkpoint(str(path), "h")
     assert loaded_hyper == hyper
-    for name in params.names():
+    for name in params:
         assert loaded[name].data.tobytes() == params[name].data.tobytes()
 
 
@@ -365,7 +365,7 @@ def test_nan_validation_loss_raises_and_writes_no_checkpoint(tmp_path):
                                     title_tokens=["tok2", "tok3"]), vocab)]
     hyper = small_hyper()
     params = init_parameters(hyper, len(vocab), Rng(0))
-    params["E"].data[vocab.id_of("valonly")] = np.nan
+    params["E"].data[vocab.token_to_id["valonly"]] = np.nan
     path = tmp_path / "best.ckpt"
     config = TrainConfig(lr=0.1, batch_size=2, epochs=2, seed=1,
                          checkpoint_path=str(path))
@@ -439,7 +439,7 @@ def test_decode_step_runs_once_per_target_token_and_per_decode_step(decode_step_
     vocab, examples = make_dataset(n_pairs=7, seed=9, title_lens=(1, 3, 2, 4))
     hyper = small_hyper()
     train(examples[:5], examples[5:], hyper, TrainConfig(lr=0.1, batch_size=2, epochs=1, seed=2))
-    assert len(decode_step_calls) == sum(len(ex.title_tokens) + 1 for ex in examples)
+    assert len(decode_step_calls) == sum(len(ex.target_ids) for ex in examples)
 
     params = init_parameters(hyper, len(vocab), Rng(4))
     decode_step_calls.clear()

@@ -51,8 +51,8 @@ def test_build_vocab_negative_min_freq():
 def test_encode_source_oov_handling():
     vocab = build_vocab([["a", "a"]], min_freq=0)
     base, ext, ev = encode_source(["a", "z", "a"], vocab)
-    assert base == [vocab.id_of("a"), UNK, vocab.id_of("a")]
-    assert ext == [vocab.id_of("a"), len(vocab), vocab.id_of("a")]
+    assert base == [vocab.token_to_id["a"], UNK, vocab.token_to_id["a"]]
+    assert ext == [vocab.token_to_id["a"], len(vocab), vocab.token_to_id["a"]]
     assert ev.oov_tokens == ["z"]
 
 
@@ -88,7 +88,7 @@ def test_extended_ids_never_collide_with_base():
 def test_encode_target_in_vocab():
     vocab = build_vocab([["a", "a"]], min_freq=0)
     ev = ExtendedVocab(vocab, [])
-    assert encode_target(["a"], vocab, ev) == [vocab.id_of("a"), END]
+    assert encode_target(["a"], vocab, ev) == [vocab.token_to_id["a"], END]
 
 
 def test_encode_target_copyable_rare_token():
