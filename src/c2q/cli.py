@@ -379,8 +379,7 @@ def _cmd_retrieve(args):
     snippets = corpus.read_snippets(args.input, args.lang)
     embedded = retrieval.embed_corpus(train_pairs, E, vocab)
     for tokens in snippets:
-        for title, sim, doc_id in retrieval.topk_similar(tokens, embedded, E,
-                                                         vocab, args.top):
+        for title, sim, doc_id in retrieval.topk_similar(tokens, embedded, args.top):
             print(f"{sim:.4f}\t{doc_id}\t{' '.join(title)}")
     return EXIT_OK
 

@@ -10,6 +10,7 @@ STRING placeholder tokens.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import re
 import sys
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .files import replace_atomically
 from .numerics import Rng
-from .vocab import SPECIALS
+from .vocab import SPECIALS, is_utf8
 
 LANGS = ("python", "java", "javascript", "csharp", "sql")
 
@@ -161,8 +162,12 @@ def _string_patterns(delim, syn):
 def _lexer(syn):
     """One compiled pattern for a language, plus the (token, warning) of each
     alternative by group number: token None drops the match, "" keeps its
-    text. At each position the first alternative that matches wins."""
-    alts = [(r"\s+", None, None)]
+    text. Each match skips the whitespace before it; at each token's start
+    the first alternative that matches wins, and a match of trailing
+    whitespace alone has no group. The last two alternatives, any
+    non-space character and the end of the text, match wherever the skip
+    stops, so no skipped whitespace is ever scanned again."""
+    alts = [(r"[A-Za-z_][A-Za-z0-9_]*", "", None)]  # no other rule starts with a letter or _
     alts += [(re.escape(mark) + r"[^\n]*", None, None) for mark in syn.line_comments]
     for open_mark, close_mark in syn.block_comments:
         o, c = re.escape(open_mark), re.escape(close_mark)
@@ -170,8 +175,9 @@ def _lexer(syn):
     for delim in syn.string_delims:
         closed, open_ = _string_patterns(delim, syn)
         alts += [(closed, "STRING", None), (open_, "STRING", "unterminated string literal")]
-    alts += [(_NUMBER, "NUMBER", None), (r"[A-Za-z_][A-Za-z0-9_]*|.", "", None)]
-    pattern = re.compile("|".join(f"({a})" for a, _, _ in alts), re.DOTALL)
+    alts += [(_NUMBER, "NUMBER", None), (r"\S", "", None)]
+    pattern = re.compile(r"\s*(?:" + "|".join(f"({a})" for a, _, _ in alts) + r"|\Z)",
+                         re.DOTALL)
     return pattern, (None,) + tuple((token, warning) for _, token, warning in alts)
 
 
@@ -192,11 +198,14 @@ def tokenize_code(text, lang, warnings=None):
     pattern, actions = _LEXERS[lang]
     tokens = []
     for m in pattern.finditer(text):
-        token, warning = actions[m.lastindex]
+        group = m.lastindex
+        if group is None:  # trailing whitespace
+            continue
+        token, warning = actions[group]
         if warning and warnings is not None:
-            warnings.append(f"{warning} at offset {m.start()}")
+            warnings.append(f"{warning} at offset {m.start(group)}")
         if token is not None:
-            tokens.append(token or m.group())
+            tokens.append(token or m.group(group))
     return tokens
 
 
@@ -267,20 +276,38 @@ def split_dataset(pairs, split):
 # JSONL I/O
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """``path`` (stdin when None) as UTF-8 text lines, each byte that is not
+    UTF-8 read as a lone surrogate."""
+    if path is not None:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            yield fh
+    elif hasattr(sys.stdin, "buffer"):
+        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
+        try:
+            yield fh
+        finally:
+            fh.detach()
+    else:  # a text stream that holds no bytes
+        yield sys.stdin
+
+
 def _read_records(path, kind, make):
     """``make(obj)`` of every JSON object in the JSON-lines file ``path``
     (stdin when None), blank lines skipped. A rejected line, one nested too
-    deep to parse included, ends the read in a DataError naming its
-    ``file:line``."""
+    deep to parse or holding bytes that are not UTF-8 included, ends the
+    read in a DataError naming its ``file:line``."""
     name = "<stdin>" if path is None else path
     records = []
-    with (contextlib.nullcontext(sys.stdin) if path is None
-          else open(path, encoding="utf-8")) as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
+                if not is_utf8(line):
+                    raise ValueError("bytes that are not UTF-8")
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise TypeError("not a JSON object")
@@ -311,12 +338,6 @@ def _json_int(obj, key):
 
 _MARKER = re.compile("|".join(map(re.escape, SPECIALS)))
 _SPECIALS = frozenset(SPECIALS)
-_SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
-
-
-def is_utf8(value):
-    """Whether ``value`` is a string that UTF-8 can encode."""
-    return isinstance(value, str) and (value.isascii() or not _SURROGATE.search(value))
 
 
 def token_list(value, field):
@@ -347,6 +368,8 @@ def write_pairs(pairs, path):
 
 
 def _pair(obj):
+    if not is_utf8(obj["lang"]):
+        raise TypeError("lang must be a UTF-8 string")
     return QCPair(id=_json_int(obj, "id"), lang=obj["lang"],
                   code_tokens=token_list(obj["code_tokens"], "code_tokens"),
                   title_tokens=token_list(obj["title_tokens"], "title_tokens"))

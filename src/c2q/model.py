@@ -211,7 +211,7 @@ def encode(base_ids, params, hyper):
     return encode_batch([base_ids], params, hyper)[0]
 
 
-def attention_step(s_t, H, keys, cov, params, mask=None):
+def attention_step(s_t, H, keys, cov, params):
     """(a_t, c_t) of decoder state rows ``s_t`` (k, h): attention rows
     (k, M), each a softmax over the source rows of H, and the weighted
     contexts (k, 2h). ``keys`` are H·W_ehᵀ as ``encode`` computes them once
@@ -219,13 +219,12 @@ def attention_step(s_t, H, keys, cov, params, mask=None):
     coverage term."""
     query = nm.linear(s_t, params["W_sh"], params["b_att"])
     scores = nm.attention_scores(query, keys, cov, params["W_cv"], params["v"])
-    a = nm.softmax(scores, mask)
+    a = nm.softmax(scores)
     c = nm.matmul(a, H)
     return a, c
 
 
-def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask=None,
-                output=True):
+def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, output=True):
     """One decoder timestep of k rows: k base-vocab ids with (k, h) state
     rows and (k, M) coverage rows, all stepped at once; feed extended
     previous outputs back as UNK. One id with (h,) state and (M,) coverage
@@ -234,9 +233,9 @@ def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask=Non
     (``p_cg`` and ``p_star`` are None): ``sequence_loss`` projects all of a
     title's steps at once instead."""
     if np.ndim(y_prev_id):
-        return _step_rows(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, mask, output)
+        return _step_rows(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, output)
     step = _step_rows([y_prev_id], tuple(nm.index(s, None) for s in state), enc,
-                      _index(cov, None), ext_ids, ev, params, hyper, mask, output)
+                      _index(cov, None), ext_ids, ev, params, hyper, output)
     return DecoderStep(state=tuple(nm.index(s, 0) for s in step.state), a=_index(step.a, 0),
                        cov=cov, cov_next=_index(step.cov_next, 0),
                        context=_index(step.context, 0) if hyper.attention else enc.summary,
@@ -247,7 +246,7 @@ def _index(t, key):
     return None if t is None else nm.index(t, key)
 
 
-def _step_rows(y_prev_ids, state, enc, cov, ext_ids, ev, params, hyper, mask, output):
+def _step_rows(y_prev_ids, state, enc, cov, ext_ids, ev, params, hyper, output):
     """``decode_step`` of k rows."""
     vocab_size = params["E"].data.shape[0]
     ids = np.asarray(y_prev_ids)
@@ -259,8 +258,7 @@ def _step_rows(y_prev_ids, state, enc, cov, ext_ids, ev, params, hyper, mask, ou
     h, c_state = (nm.index(out, (slice(None), k)) for k in (0, 1))
 
     if hyper.attention:
-        a, ctx = attention_step(h, enc.H, enc.keys, cov if hyper.coverage else None, params,
-                                mask)
+        a, ctx = attention_step(h, enc.H, enc.keys, cov if hyper.coverage else None, params)
         cov_next = nm.add(cov, a) if cov is not None else None
     else:
         a, ctx, cov_next = None, enc.summary, cov

@@ -2,7 +2,7 @@
 
 Everything the encoder/decoder needs: linear maps, a whole-sequence LSTM,
 the additive attention scores, the output distribution with its copy mix,
-masked softmax, sigmoid/tanh, concatenation, indexing and gathers, and a
+softmax, sigmoid/tanh, concatenation, indexing and gathers, and a
 central finite-difference gradient checker. The model ops work on rows: a
 linear map takes (k, in) rows, the LSTM a packed batch of sequences, and the
 elementwise ops, softmax and the output distribution work row by row on the
@@ -353,23 +353,11 @@ def sum_all(a):
     return Tensor(a.data.sum(), (a,), lambda g: (np.full_like(a.data, float(g)),))
 
 
-def softmax(v, mask=None):
-    """Probabilities over the last axis, row by row, over unmasked positions;
-    max-subtracted for stability.
-
-    ``mask`` is a boolean array of the input's shape or of one row's, True =
-    position participates. Masked positions come out exactly 0.
-    """
+def softmax(v):
+    """Probabilities over the last axis, row by row; max-subtracted for
+    stability."""
     v = _wrap(v)
-    x = v.data
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape not in (x.shape, x.shape[-1:]):
-            raise ShapeError(f"mask shape {mask.shape} != input shape {x.shape}")
-        if not mask.any(axis=-1).all():
-            raise ValueError("softmax: all positions masked")
-        x = np.where(mask, x, -np.inf)
-    p = _softmax(x, v.data.dtype)
+    p = _softmax(v.data, v.data.dtype)
     return Tensor(p, (v,), lambda g: (_softmax_back(p, g),))
 
 

@@ -86,21 +86,36 @@ class CodeEmbedding:
     zero: bool  # all tokens OOV / zero-sum: similarity undefined
 
 
+def _embed_into(row, rows, normalize):
+    """Sum ``rows`` (a snippet's embedding rows, in token order) into the
+    float64 ``row``, normalized unless the norm is 0; returns the norm."""
+    np.add.reduce(rows, axis=0, out=row)
+    norm = math.sqrt(row.dot(row))
+    if normalize and norm != 0.0:
+        row /= norm
+    return norm
+
+
 def embed_code(code_tokens, E, vocab, normalize=True):
     """Sum of embedding rows for in-vocab tokens, L2-normalized by default."""
     ids = [i for i in map(vocab.token_to_id.get, code_tokens) if i is not None]
-    total = np.asarray(E)[ids].astype(np.float64).sum(axis=0)  # rows in token order
-    norm = float(np.linalg.norm(total))
-    if norm == 0.0:
-        return CodeEmbedding(total, zero=True)
-    return CodeEmbedding(total / norm if normalize else total, zero=False)
+    E = np.asarray(E)
+    row = np.empty(E.shape[1])
+    return CodeEmbedding(row, zero=_embed_into(row, E.take(ids, axis=0), normalize) == 0.0)
+
+
+def _similarities(rows, vector):
+    """1 − the Euclidean distance of ``vector`` to each of ``rows``."""
+    d = rows - vector
+    np.multiply(d, d, out=d)
+    return 1.0 - np.sqrt(d.sum(axis=1))
 
 
 def code_similarity(c1, c2):
-    """1 - Euclidean distance of the two embeddings."""
+    """1 - Euclidean distance of the two embeddings, as a corpus row's."""
     if c1.zero or c2.zero:
         raise ValueError("code_similarity: zero-flagged embedding (all tokens OOV)")
-    return 1.0 - float(np.linalg.norm(c1.vector - c2.vector))
+    return float(_similarities(c1.vector[None], c2.vector)[0])
 
 
 @dataclass
@@ -129,9 +144,12 @@ def _bucket(sim):
 class EmbeddedCorpus:
     """The pairs of a corpus that have an embedding, their embeddings kept as
     the rows of one matrix, with each row's squared norm and each pair's id,
-    for many queries."""
+    for many queries, and the ``E``, ``vocab`` and ``normalize`` it was built with."""
     pairs: list
     matrix: np.ndarray
+    E: np.ndarray
+    vocab: object
+    normalize: bool
     sq: np.ndarray = field(init=False)
     ids: np.ndarray = field(init=False)
 
@@ -143,9 +161,7 @@ class EmbeddedCorpus:
         """code_similarity of a query embedding vector to each pair, by rows
         (or to the pairs at ``rows``: a row's value does not depend on which
         other rows are scored)."""
-        d = self.matrix[rows] - vector
-        np.multiply(d, d, out=d)
-        return 1.0 - np.sqrt(d.sum(axis=1))  # the row norms, as np.linalg.norm
+        return _similarities(self.matrix[rows], vector)
 
 
 def embed_corpus(pairs, E, vocab, normalize=True):
@@ -162,14 +178,10 @@ def embed_corpus(pairs, E, vocab, normalize=True):
         ends = np.cumsum([len(p.code_tokens) for p in chunk]).tolist()
         for pair, begin, end in zip(chunk, [0] + ends, ends):
             seg = ids[begin:end]
-            row = M[len(kept)]  # a pair with a zero sum is overwritten by the next
-            np.add.reduce(E64.take(seg[seg >= 0], axis=0), axis=0, out=row)
-            norm = math.sqrt(row.dot(row))  # np.linalg.norm's order
-            if norm != 0.0:
-                if normalize:
-                    row /= norm
+            # a pair with a zero sum is overwritten by the next
+            if _embed_into(M[len(kept)], E64.take(seg[seg >= 0], axis=0), normalize) != 0.0:
                 kept.append(pair)
-    return EmbeddedCorpus(kept, M[:len(kept)])
+    return EmbeddedCorpus(kept, M[:len(kept)], E, vocab, normalize)
 
 
 def _nearest(corpus, queries, k):
@@ -225,13 +237,13 @@ def dedup_testset(train_pairs, test_pairs, E, vocab, delta=0.8, normalize=True):
                                        delta=delta, unembeddable=unembeddable)
 
 
-def topk_similar(query_code_tokens, corpus, E, vocab, k, normalize=True):
+def topk_similar(query_code_tokens, corpus, k):
     """k (title, similarity, id) triples, descending similarity, ties by
-    lowest id, from an EmbeddedCorpus made by ``embed_corpus`` with the same
-    E, vocab and normalize."""
+    lowest id, from an EmbeddedCorpus made by ``embed_corpus``; the query
+    is embedded as the corpus rows were."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    query = embed_code(query_code_tokens, E, vocab, normalize)
+    query = embed_code(query_code_tokens, corpus.E, corpus.vocab, corpus.normalize)
     if query.zero:
         raise ValueError("topk_similar: query has no in-vocabulary tokens")
     if not corpus.pairs:

@@ -4,6 +4,7 @@ vocabularies so the copy mechanism can emit source-only tokens."""
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -14,6 +15,14 @@ SPECIALS = ("<pad>", "<unk>", "<start>", "<end>")
 UNK_TOKEN = "<unk>"
 
 VOCAB_HEADER_PREFIX = "C2Q-VOCAB v1 count="
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
+
+
+def is_utf8(value):
+    """Whether ``value`` is a string that UTF-8 can encode."""
+    return isinstance(value, str) and (value.isascii() or not _SURROGATE.search(value))
 
 
 class VocabFormatError(ValueError):
@@ -56,15 +65,17 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith(VOCAB_HEADER_PREFIX):
-                raise VocabFormatError(f"bad vocab header: {header!r}")
-            try:
-                count = int(header[len(VOCAB_HEADER_PREFIX):])
-            except ValueError as exc:
-                raise VocabFormatError(f"bad vocab header count: {header!r}") from exc
-            tokens = [line.rstrip("\n") for line in fh]
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            header, *tokens = [line.rstrip("\n") for line in fh] or [""]
+        for lineno, line in enumerate([header] + tokens, 1):
+            if not is_utf8(line):
+                raise VocabFormatError(f"{path}:{lineno}: bytes that are not UTF-8")
+        if not header.startswith(VOCAB_HEADER_PREFIX):
+            raise VocabFormatError(f"bad vocab header: {header!r}")
+        try:
+            count = int(header[len(VOCAB_HEADER_PREFIX):])
+        except ValueError as exc:
+            raise VocabFormatError(f"bad vocab header count: {header!r}") from exc
         if len(tokens) != count:
             raise VocabFormatError(f"vocab file lists {len(tokens)} tokens, header says {count}")
         return cls(list(SPECIALS) + tokens)

@@ -494,6 +494,66 @@ def test_deeply_nested_line_names_its_file_and_line(workdir, capsys, tmp_path, m
     assert f"{path}:2:" in err
 
 
+BAD_BYTES = b"\xff\xfe{}"  # a line whose first two bytes are not UTF-8
+
+
+@pytest.mark.parametrize("kind,argv", [
+    ("posts", ["preprocess", "--out-dir", "{tmp}/out", "--input"]),
+    ("pairs", ["build-vocab", "--out", "{tmp}/vocab.txt", "--pairs"]),
+    ("snippets", ["generate", "--checkpoint", "{ckpt}", "--vocab", "{vocab}", "--greedy",
+                  "--input"]),
+    ("snippets", ["retrieve", "--train-pairs", "{train}", "--vocab", "{vocab}"]),
+], ids=["preprocess", "build-vocab", "generate", "retrieve-stdin"])
+def test_bytes_that_are_not_utf8_name_their_file_and_line(workdir, capsys, tmp_path,
+                                                          monkeypatch, kind, argv):
+    first = json.dumps(VALID_RECORDS[kind]).encode()
+    data = first + b"\n" + first + b"\n" + BAD_BYTES + b"\n" + first + b"\n"
+    argv = [a.format(tmp=tmp_path, **workdir) for a in argv]
+    if argv[-1].startswith("--"):
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(data)
+        argv.append(str(path))
+    else:  # the records arrive on stdin
+        path = "<stdin>"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(_error_lines(out.err)) == 1 and out.err.startswith("error kind=data")
+    assert f"{path}:3:" in out.err
+
+
+def test_vocab_bytes_that_are_not_utf8_name_their_file_and_line(workdir, capsys, tmp_path):
+    lines = open(workdir["vocab"], "rb").read().split(b"\n")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_bytes(b"\n".join(lines[:2] + [b"\xff\xfe" + lines[2]] + lines[3:]))
+    snippets = tmp_path / "s.jsonl"
+    snippets.write_text('{"code": "x = 1"}\n')
+    assert run(["generate", "--checkpoint", workdir["ckpt"], "--vocab", str(vocab),
+                "--input", str(snippets), "--greedy"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(_error_lines(out.err)) == 1 and out.err.startswith("error kind=data")
+    assert f"{vocab}:3:" in out.err
+
+
+def test_pair_lang_must_be_a_string(workdir, capsys, tmp_path):
+    record = VALID_RECORDS["pairs"]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(json.dumps(dict(record, id=i, lang=lang)) + "\n"
+                             for i, lang in enumerate(["python", "java", [1, 2]])))
+    out_pairs = tmp_path / "clean.jsonl"
+    for argv in (["build-vocab", "--pairs", str(pairs), "--out", str(tmp_path / "v.txt")],
+                 ["dedup", "--train-pairs", workdir["train"], "--test-pairs", str(pairs),
+                  "--vocab", workdir["vocab"], "--out-pairs", str(out_pairs),
+                  "--report", str(tmp_path / "dedup.json")]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert len(_error_lines(err)) == 1 and err.startswith("error kind=data")
+        assert f"{pairs}:3:" in err
+    assert not out_pairs.exists()
+
+
 def test_deeply_nested_checkpoint_header_is_data_error(workdir, capsys, tmp_path):
     header = NESTED.encode()
     ckpt = tmp_path / "nested.ckpt"

@@ -1,11 +1,13 @@
 import json
 import os
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexer_reference
 from c2q import corpus
 from c2q.corpus import (QCPair, RawPost, SkipReport, SplitSpec, extract_pairs,
                         filter_pairs, make_pair, split_dataset,
@@ -373,3 +375,30 @@ def test_tokenize_code_matches_scanner(text):
         expected = _scanned_tokenize_code(text, lang, expected_warnings)
         assert tokenize_code(text, lang, warnings) == expected, lang
         assert warnings == expected_warnings, lang
+
+
+# Every character class that the rules of some language treat apart: quotes,
+# escapes, comment marks, digits, letters, Unicode spaces and line breaks.
+LEXER_TEXT = st.lists(st.sampled_from(
+    ['"', "'", "`", '"""', "'''", "\\", "#", "//", "--", "/*", "*/", "/", "*", "-",
+     "0", "7", "0x", "1e", "9.", "\u0663", "a", "Z", "_", "x1", "\u00e9",
+     " ", "\t", "\u00a0", "\u2003", "\u3000", "\x0b", "\x0c", "\n", "\r\n", "\r",
+     "\x1c", "\x85", "+", "(", ";"]), max_size=40).map("".join)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(text=LEXER_TEXT)
+def test_tokenize_code_matches_the_whitespace_rule_lexer(text):
+    for lang in corpus.LANGS:
+        expected_warnings, warnings = [], []
+        expected = lexer_reference.tokenize_code(text, lang, expected_warnings)
+        assert tokenize_code(text, lang, warnings) == expected, lang
+        assert warnings == expected_warnings, lang
+
+
+@pytest.mark.parametrize("lang", corpus.LANGS)
+def test_trailing_whitespace_is_one_match(lang):
+    # a scan that retried each trailing space would take quadratic time
+    start = time.perf_counter()
+    assert tokenize_code("x = 1" + " " * 1_000_000, lang) == ["x", "=", "NUMBER"]
+    assert time.perf_counter() - start < 5.0

@@ -142,10 +142,8 @@ def test_attention_precomputed_keys_match_recomputed(dtype):
         rng = Rng(5)
         s = Tensor(rng.uniform(-1, 1, (1, hyper.hidden)))
         cov = Tensor(rng.uniform(0, 1, (1, 5)))
-        mask = np.array([True, True, False, True, True])
-        with_keys = attention_step(s, enc.H, enc.keys, cov, params, mask)
-        recomputed = attention_step(s, enc.H, nm.linear(enc.H, params["W_eh"]), cov, params,
-                                    mask)
+        with_keys = attention_step(s, enc.H, enc.keys, cov, params)
+        recomputed = attention_step(s, enc.H, nm.linear(enc.H, params["W_eh"]), cov, params)
     assert enc.keys.data.dtype == dtype
     for got, want in zip(with_keys, recomputed):
         assert got.data.dtype == dtype

@@ -115,16 +115,6 @@ def test_softmax_hand_example():
     assert np.allclose(p.data, [1 / 3, 2 / 3], atol=1e-6)
 
 
-def test_softmax_mask():
-    p = nm.softmax(Tensor([5.0, 5.0]), mask=[True, False])
-    assert np.allclose(p.data, [1.0, 0.0])
-
-
-def test_softmax_all_masked_errors():
-    with pytest.raises(ValueError):
-        nm.softmax(Tensor([1.0, 2.0]), mask=[False, False])
-
-
 def test_softmax_sum_and_nonneg_randomized():
     rng = Rng(3)
     for _ in range(50):
@@ -301,7 +291,7 @@ def test_lstm_seq_rejects_mismatched_batch():
 
 
 def test_row_ops_match_per_row_ops_and_fold_weight_factors():
-    # linear, masked softmax, a broadcasting concat and output_dist, which
+    # linear, softmax, a broadcasting concat and output_dist, which
     # pads and scatters, on k rows give each row's result as a row of one,
     # and the rows' gradients, W's folded from factors, match finite
     # differences
@@ -314,11 +304,10 @@ def test_row_ops_match_per_row_ops_and_fold_weight_factors():
         W2, b2 = Tensor(rng.uniform(-1, 1, (4, 5))), Tensor(rng.uniform(-1, 1, 4))
         gate = Tensor(rng.uniform(0, 1, 2))
         probe = Tensor(rng.uniform(-1, 1, (2, 7)))
-        mask = np.array([True, False, True, True])
         idx = [3, 4, 3, 6]
 
         def rows(r=slice(None)):
-            y = nm.softmax(nm.linear(nm.index(X, r), W, bias), mask)
+            y = nm.softmax(nm.linear(nm.index(X, r), W, bias))
             return nm.output_dist(nm.concat([nm.index(X, r), v], axis=-1), W2, b2, 7,
                                   nm.index(gate, r), y, idx)
 
@@ -326,8 +315,8 @@ def test_row_ops_match_per_row_ops_and_fold_weight_factors():
         for r in range(2):
             one = rows(slice(r, r + 1))
             np.testing.assert_allclose(out.data[r], one.data[0], rtol=1e-12, atol=0)
-        # 4 receives only the masked position; no position scatters to 5
-        assert (out.data[:, [4, 5]] == 0).all()
+        # no position scatters to 5
+        assert (out.data[:, 5] == 0).all()
 
         def f():
             return nm.sum_all(nm.mul(rows(), probe))
@@ -337,13 +326,6 @@ def test_row_ops_match_per_row_ops_and_fold_weight_factors():
         y = nm.linear(X, W)
         assert isinstance(y._backward(np.ones(y.shape))[1], nm._Factors)
     assert err < 1e-5
-
-
-def test_softmax_rows_reject_fully_masked_row():
-    with pytest.raises(ValueError):
-        nm.softmax(Tensor(np.zeros((2, 2))), mask=[[True, False], [False, False]])
-    with pytest.raises(nm.ShapeError):
-        nm.softmax(Tensor(np.zeros((2, 3))), mask=[True, False])
 
 
 def _pack(seqs):
@@ -539,13 +521,15 @@ def test_output_dist_matches_composed_chain_bitwise(k, size, copy, dtype):
 @pytest.mark.parametrize("coverage", [True, False], ids=["coverage", "no-coverage"])
 def test_attention_scores_gradients_match_finite_differences(coverage, masked):
     rng = Rng(31 + coverage)
-    mask = np.array([True, False, True, True, False]) if masked else None
+    # masked positions get no probability: a caller adds -1e30 to their scores
+    offset = np.where([True, False, True, True, False], 0.0, -1e30) if masked else 0.0
     with nm.use_dtype(np.float64):
         args = _attention_inputs(rng, 2, coverage=coverage)
         probe = Tensor(rng.uniform(-1, 1, (2, 5)))
 
         def f():
-            return nm.sum_all(nm.mul(nm.softmax(nm.attention_scores(*args), mask), probe))
+            scores = nm.add(nm.attention_scores(*args), offset)
+            return nm.sum_all(nm.mul(nm.softmax(scores), probe))
 
         err = nm.finite_diff_check(f, _leaves(args), epsilon=1e-6)
     assert err < 1e-6

@@ -147,7 +147,7 @@ def test_topk_self_query_first():
     vocab = small_vocab()
     E = Rng(6).uniform(-1, 1, (len(vocab), 8))
     corpus_pairs = [pair(1, ["a", "b"]), pair(2, ["c", "d"]), pair(3, ["e", "f"])]
-    results = topk_similar(["a", "b"], embed_corpus(corpus_pairs, E, vocab), E, vocab, k=1)
+    results = topk_similar(["a", "b"], embed_corpus(corpus_pairs, E, vocab), k=1)
     assert len(results) == 1
     title, sim, doc_id = results[0]
     assert doc_id == 1
@@ -158,7 +158,7 @@ def test_topk_larger_than_corpus():
     vocab = small_vocab()
     E = Rng(7).uniform(-1, 1, (len(vocab), 8))
     corpus_pairs = [pair(1, ["a"]), pair(2, ["b"])]
-    results = topk_similar(["a"], embed_corpus(corpus_pairs, E, vocab), E, vocab, k=10)
+    results = topk_similar(["a"], embed_corpus(corpus_pairs, E, vocab), k=10)
     assert len(results) == 2
     assert results[0][1] >= results[1][1]
 
@@ -172,7 +172,7 @@ def test_topk_matches_hand_ranking():
     expected = sorted(
         [(code_similarity(qe, embed_code(p.code_tokens, E, vocab)), p.id)
          for p in corpus_pairs], key=lambda t: (-t[0], t[1]))
-    results = topk_similar(query, embed_corpus(corpus_pairs, E, vocab), E, vocab, k=3)
+    results = topk_similar(query, embed_corpus(corpus_pairs, E, vocab), k=3)
     assert [(r[2]) for r in results] == [pid for _, pid in expected]
     for r, (sim, _) in zip(results, expected):
         assert r[1] == pytest.approx(sim)
@@ -237,11 +237,11 @@ def test_topk_ids_match_sorting_by_code_similarity(codes, dups, query, k, seed,
     corpus = embed_corpus(corpus_pairs, E, vocab, normalize)
     if qe.zero:
         with pytest.raises(ValueError):
-            topk_similar(query, corpus, E, vocab, k, normalize)
+            topk_similar(query, corpus, k)
         return
     expected = sorted((-code_similarity(qe, emb), p.id) for p in corpus_pairs
                       if not (emb := embed_code(p.code_tokens, E, vocab, normalize)).zero)
-    results = topk_similar(query, corpus, E, vocab, k, normalize)
+    results = topk_similar(query, corpus, k)
     assert [doc_id for _, _, doc_id in results] == [pid for _, pid in expected[:k]]
     for (_, sim, _), (neg_sim, _) in zip(results, expected):
         assert abs(sim + neg_sim) <= 1e-12
@@ -254,15 +254,29 @@ def test_topk_corpus_without_embeddings_is_empty(codes, k):
     vocab = small_vocab()
     E = Rng(9).uniform(-1, 1, (len(vocab), 8))
     corpus_pairs = [pair(i, code) for i, code in enumerate(codes)]
-    assert topk_similar(["a"], embed_corpus(corpus_pairs, E, vocab), E, vocab, k) == []
+    assert topk_similar(["a"], embed_corpus(corpus_pairs, E, vocab), k) == []
 
 
 def test_corpus_similarities_equal_numpy_norm_bitwise():
     rng = Rng(4)
     M = rng.uniform(-1, 1, (500, 37)).astype(np.float64)
     q = CodeEmbedding(rng.uniform(-1, 1, 37).astype(np.float64), zero=False)
-    sims = EmbeddedCorpus([], M).similarities(q.vector)
+    sims = EmbeddedCorpus([], M, None, None, True).similarities(q.vector)
     assert np.array_equal(sims, 1.0 - np.linalg.norm(M - q.vector, axis=1))
+
+
+@pytest.mark.parametrize("d", [8, 37, 300])
+def test_code_similarity_equals_corpus_similarities_bitwise(d):
+    # unit and raw vectors alike: one formula scores a pair and a corpus row
+    rng = np.random.default_rng(d)
+    M = rng.standard_normal((500, d)) * rng.uniform(0.01, 10.0, (500, 1))
+    M[:250] /= np.linalg.norm(M[:250], axis=1, keepdims=True)
+    q = M[-1] + rng.standard_normal(d) * 0.1
+    sims = EmbeddedCorpus([], M, None, None, True).similarities(q)
+    query = CodeEmbedding(q, zero=False)
+    got = [code_similarity(CodeEmbedding(row, zero=False), query) for row in M]
+    assert np.array(got).tobytes() == sims.tobytes()
+    assert [code_similarity(query, CodeEmbedding(row, zero=False)) for row in M] == got
 
 
 def test_duplicate_ids_keep_their_own_titles():
@@ -453,7 +467,7 @@ def test_topk_matches_a_full_row_formula_scan(case, seed, normalize, scale, dtyp
         rows, sims = _topk_scan(embedded, vector, k)
         want = [(embedded[i][0].title_tokens, sim, embedded[i][0].id)
                 for i, sim in zip(rows, sims)]
-        assert topk_similar(q, corpus, E, vocab, k, normalize) == want
+        assert topk_similar(q, corpus, k) == want
     vectors = [vector for _, vector in queries]
     if many:  # more queries than one 64-row product block
         vectors = vectors * (1 + 130 // len(vectors))
@@ -475,5 +489,5 @@ def test_nearest_keeps_rows_whose_similarities_round_alike(seed, k):
     M = base + rng.uniform(-1e-4, 1e-4, (12, 8)) * 10.0 ** rng.uniform(-14, -11, (12, 1))
     query = base + rng.uniform(-1e-4, 1e-4, 8)
     corpus_pairs = [pair(12 - i, ["a"], [f"t{i}"]) for i in range(12)]
-    rows, sims = _nearest(EmbeddedCorpus(corpus_pairs, M), query[None], k)[0]
+    rows, sims = _nearest(EmbeddedCorpus(corpus_pairs, M, None, None, True), query[None], k)[0]
     assert (rows.tolist(), sims.tolist()) == _topk_scan(list(zip(corpus_pairs, M)), query, k)
