@@ -22,7 +22,7 @@ from .model import ABLATION_PRESETS, MAX_DECODE_LEN, Hyperparams, encode_example
 from .numerics import Rng
 from .train import (CheckpointError, TrainConfig, TrainingDivergedError,
                     load_checkpoint, train)
-from .vocab import Vocabulary, VocabFormatError, build_vocab
+from .vocab import Vocabulary, VocabFormatError, build_vocab, is_utf8
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 
@@ -82,9 +82,11 @@ def _boolean(text):
 
 def _read_config(path):
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with corpus._open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
+            if not is_utf8(line):
+                raise DataError(f"{path}:{lineno}: bytes that are not UTF-8")
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -378,8 +380,9 @@ def _cmd_retrieve(args):
     E = _embedding_matrix(args, vocab)
     snippets = corpus.read_snippets(args.input, args.lang)
     embedded = retrieval.embed_corpus(train_pairs, E, vocab)
-    for tokens in snippets:
-        for title, sim, doc_id in retrieval.topk_similar(tokens, embedded, args.top):
+    results = [retrieval.topk_similar(tokens, embedded, args.top) for tokens in snippets]
+    for result in results:
+        for title, sim, doc_id in result:
             print(f"{sim:.4f}\t{doc_id}\t{' '.join(title)}")
     return EXIT_OK
 

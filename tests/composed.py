@@ -3,7 +3,9 @@
 existed: the remaining elementwise ops plus three reference ops that the
 model no longer needs (a scatter-add, a zero pad and the product of a stack
 of matrices with a vector). Tests compare each fused op with its chain,
-value for value and gradient for gradient.
+value for value and gradient for gradient. Beside them sit the earlier forms
+of two kernels that ``numerics`` computes another way: the two-branch
+``np.where`` sigmoid and the ``np.multiply.outer`` one-row outer product.
 """
 
 import numpy as np
@@ -53,3 +55,17 @@ def output_dist(x, w, b, size, gate=None, attn=None, ext_ids=None):
     gen_dist = pad_zeros(vocab_dist, size)
     keep = nm.add(1.0, nm.scale(gate, -1.0))  # 1 - p_cg
     return nm.add(nm.mul(gate, copy_dist), nm.mul(keep, gen_dist))
+
+
+def sigmoid_kernel(x):
+    """The two-branch sigmoid that ``numerics._sigmoid`` replaces."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+
+
+def outer_sum_kernel(left, right):
+    """``left.T @ right`` with one row as ``np.multiply.outer``, as
+    ``numerics._outer_sum`` computed it before einsum."""
+    if len(left) == 1:
+        return np.multiply.outer(left[0], right[0])
+    return left.T @ right

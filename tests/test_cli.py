@@ -132,6 +132,19 @@ def test_retrieve_format(workdir, capsys, tmp_path):
     assert int(doc_id) == first.id
 
 
+def test_retrieve_prints_nothing_unless_every_query_succeeds(workdir, capsys, tmp_path):
+    first = corpus.read_pairs(workdir["train"])[0]
+    snippets = tmp_path / "snippets.jsonl"
+    snippets.write_text(json.dumps({"code_tokens": first.code_tokens}) + "\n"
+                        + json.dumps({"code_tokens": ["zz_not_in_vocab_1", "zz_not_2"]}) + "\n")
+    assert run(["retrieve", "--train-pairs", workdir["train"],
+                "--vocab", workdir["vocab"], "--checkpoint", workdir["ckpt"],
+                "--input", str(snippets), "--top", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(_error_lines(out.err)) == 1 and out.err.startswith("error kind=data")
+
+
 def test_retrieve_embeds_the_corpus_once(workdir, capsys, tmp_path, monkeypatch):
     pairs = corpus.read_pairs(workdir["train"])
     queries = [p.code_tokens for p in pairs[:3]]
@@ -254,6 +267,17 @@ def test_config_malformed_line_rejected(workdir, capsys, tmp_path):
     cfg.write_text("not a key value line\n")
     assert run(["build-vocab", "--config", str(cfg), "--pairs",
                 workdir["train"], "--out", str(tmp_path / "v.txt")]) == 2
+
+
+def test_config_bytes_that_are_not_utf8_name_their_file_and_line(workdir, capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"min_freq=0\n\xff\xfemax_size=10\n")
+    assert run(["build-vocab", "--config", str(cfg), "--pairs",
+                workdir["train"], "--out", str(tmp_path / "v.txt")]) == 2
+    out = capsys.readouterr()
+    assert len(_error_lines(out.err)) == 1 and out.err.startswith("error kind=data")
+    assert f"{cfg}:2:" in out.err
+    assert not (tmp_path / "v.txt").exists()
 
 
 def test_threads_env_same_output(workdir, capsys, tmp_path, monkeypatch):

@@ -410,6 +410,24 @@ def test_outer_sum_equals_transposed_product_bitwise(dtype, rows):
         got = nm._outer_sum(left, right)
         assert got.dtype == dtype
         assert np.array_equal(got, left.T @ right)
+        assert np.array_equal(got, composed.outer_sum_kernel(left, right))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_kernel_equals_two_branch_form_bitwise(dtype):
+    info = np.finfo(dtype)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0,
+                        17.0, -17.0, 40.0, -40.0,          # e + 1 rounds to 1
+                        88.8, -88.8, 104.0, -104.0,        # float32 exp underflow
+                        745.2, -745.2, 746.0, -746.0,      # float64 exp underflow
+                        info.max, -info.max, info.tiny, -info.tiny,
+                        info.smallest_subnormal, -info.smallest_subnormal], dtype=dtype)
+    rng = np.random.default_rng(5)
+    wide = rng.uniform(-800, 800, 100_000).astype(dtype)
+    for x in (special, rng.standard_normal((64, 768)).astype(dtype) * 8, wide):
+        got = nm._sigmoid(x)
+        assert got.dtype == dtype and got.shape == x.shape
+        assert got.tobytes() == composed.sigmoid_kernel(x).tobytes()
 
 
 def test_finite_diff_accepts_one_element_outputs():

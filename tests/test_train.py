@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import composed
 from c2q import decode as decode_module
 from c2q import files as files_module
 from c2q import model as model_module
+from c2q import numerics as nm
 from c2q.corpus import QCPair
 from c2q.model import (ABLATION_PRESETS, Hyperparams, encode_example, init_parameters,
                        sequence_loss)
@@ -72,6 +74,23 @@ def test_same_seed_training_is_bit_identical():
         assert np.array_equal(p1[name].data, p2[name].data), name
     assert [e.train_loss for e in runs[0][1]] == \
            [e.train_loss for e in runs[1][1]]
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATION_PRESETS))
+def test_training_with_reference_kernels_is_bit_identical(monkeypatch, ablation):
+    # the where-free sigmoid and the einsum outer product change no trained byte
+    hyper = small_hyper(ablation=ABLATION_PRESETS[ablation])
+    vocab, examples = make_dataset(n_pairs=6, seed=2, title_lens=(3, 5))
+    config = TrainConfig(lr=0.5, batch_size=3, epochs=2, seed=7)
+    runs = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(nm, "_sigmoid", composed.sigmoid_kernel)
+            monkeypatch.setattr(nm, "_outer_sum", composed.outer_sum_kernel)
+        params, log = train(examples, examples[:2], hyper, config)
+        runs.append(({k: t.data.tobytes() for k, t in params.items()},
+                     [(e.train_loss, e.val_loss) for e in log]))
+    assert runs[0] == runs[1]
 
 
 def test_training_reduces_loss_and_memorizes_single_pair():
