@@ -9,6 +9,7 @@ key=value config file can seed any flag; command-line flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -369,8 +370,9 @@ def _cmd_dedup(args):
         train_pairs, test_pairs, E, vocab, delta=args.delta,
         normalize=not args.raw_embeddings)
     corpus.write_pairs(clean, args.out_pairs)
-    _atomic_write_json(report.as_dict(), args.report)
-    print(json.dumps(report.as_dict()))
+    summary = dataclasses.asdict(report)
+    _atomic_write_json(summary, args.report)
+    print(json.dumps(summary))
     return EXIT_OK
 
 

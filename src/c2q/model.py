@@ -156,7 +156,7 @@ def _bilstm(x, params, layer, zeros, sizes, rev):
         return nm.lstm_seq(seq, zeros, zeros, *(params[f"enc_l{layer}_{dirn}_{n}"]
                                                 for n in "WUb"), sizes=sizes)
 
-    return run("fw", x), run("bw", nm.gather_rows(x, rev))
+    return run("fw", x), run("bw", nm.index(x, rev))
 
 
 def _hidden(out):
@@ -183,15 +183,15 @@ def encode_batch(sources, params, hyper):
     for j, r in zip(order, rows):
         ids[r], rev[r] = sources[j], r[::-1]
     zeros = Tensor(np.zeros((len(sources), hyper.hidden)))
-    fw, bw = _bilstm(nm.gather_rows(params["E"], ids), params, 1, zeros, sizes, rev)
-    l1_out = nm.concat([_hidden(fw), nm.gather_rows(_hidden(bw), rev)], axis=1)
+    fw, bw = _bilstm(nm.index(params["E"], ids), params, 1, zeros, sizes, rev)
+    l1_out = nm.concat([_hidden(fw), nm.index(_hidden(bw), rev)], axis=1)
     fw, bw = _bilstm(l1_out, params, 2, zeros, sizes, rev)
     # H holds each source's rows in order, one source after another
     by_source = np.concatenate(rows)
-    H = nm.concat([nm.gather_rows(_hidden(fw), by_source),
-                   nm.gather_rows(_hidden(bw), rev[by_source])], axis=1)
+    H = nm.concat([nm.index(_hidden(fw), by_source),
+                   nm.index(_hidden(bw), rev[by_source])], axis=1)
     # [fw; bw] final states: both sit at each source's last packed row
-    final = [nm.gather_rows(out, [r[-1] for r in rows]) for out in (fw, bw)]
+    final = [nm.index(out, [r[-1] for r in rows]) for out in (fw, bw)]
     summary_h, summary_c = (nm.concat([nm.index(f, (slice(None), k)) for f in final], axis=-1)
                             for k in (0, 1))
     s0_h = nm.tanh(nm.linear(summary_h, params["W_b"], params["b_b"]))
@@ -226,8 +226,10 @@ def attention_step(s_t, H, keys, cov, params):
 
 def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, output=True):
     """One decoder timestep of k rows: k base-vocab ids with (k, h) state
-    rows and (k, M) coverage rows, all stepped at once; feed extended
-    previous outputs back as UNK. One id with (h,) state and (M,) coverage
+    rows and (k, M) coverage rows, all stepped at once. A previous output
+    from the extended vocabulary must come in as UNK: the callers map it
+    (``sequence_loss`` and the decoder's stepper), and an id >= V raises
+    IndexError. One id with (h,) state and (M,) coverage
     is stepped as a row of one, and the step comes back without the row
     axis. With ``output=False`` the step leaves out the output distribution
     (``p_cg`` and ``p_star`` are None): ``sequence_loss`` projects all of a
@@ -252,14 +254,14 @@ def _step_rows(y_prev_ids, state, enc, cov, ext_ids, ev, params, hyper, output):
     ids = np.asarray(y_prev_ids)
     if ids.ndim != 1 or not ids.size or not all(0 <= i < vocab_size for i in ids):
         raise IndexError(f"previous-output id {y_prev_ids} outside base vocab")
-    x = nm.gather_rows(params["E"], ids)
+    x = nm.index(params["E"], ids)
     out = nm.lstm_seq(x, state[0], state[1], params["dec_W"], params["dec_U"],
                       params["dec_b"], sizes=[len(ids)])
     h, c_state = (nm.index(out, (slice(None), k)) for k in (0, 1))
 
     if hyper.attention:
         a, ctx = attention_step(h, enc.H, enc.keys, cov if hyper.coverage else None, params)
-        cov_next = nm.add(cov, a) if cov is not None else None
+        cov_next = nm.add_n([cov, a]) if cov is not None else None
     else:
         a, ctx, cov_next = None, enc.summary, cov
 
@@ -328,13 +330,13 @@ def sequence_loss(example, params, hyper, enc=None):
 
     t_len = len(target)
     _, p_star = _output_dist(nm.concat(hs), nm.concat(ctxs) if hyper.attention else enc.summary,
-                             nm.gather_rows(params["E"], feed),
+                             nm.index(params["E"], feed),
                              nm.concat(attns) if hyper.copy else None,
                              example.ext_ids, ext_size, params, hyper)
     logp = nm.log(nm.clamp_min(nm.index(p_star, (np.arange(t_len), target)), LOGPROB_FLOOR))
     loss = nm.scale(nm.sum_all(logp), -1.0 / t_len)
     if cov_terms and hyper.lambda_cov > 0:
-        loss = nm.add(loss, nm.scale(nm.add_n(cov_terms), hyper.lambda_cov / t_len))
+        loss = nm.add_n([loss, nm.scale(nm.add_n(cov_terms), hyper.lambda_cov / t_len)])
     return loss, logp.data.tolist()
 
 

@@ -2,13 +2,13 @@
 
 Everything the encoder/decoder needs: linear maps, a whole-sequence LSTM,
 the additive attention scores, the output distribution with its copy mix,
-softmax, sigmoid/tanh, concatenation, indexing and gathers, and a
-central finite-difference gradient checker. The model ops work on rows: a
-linear map takes (k, in) rows, the LSTM a packed batch of sequences, and the
-elementwise ops, softmax and the output distribution work row by row on the
-last axis. Values are float32 by default; wrap gradient checks in
-``use_dtype(np.float64)`` for the doubled-precision test mode with tighter
-tolerances.
+softmax, sigmoid/tanh, sums, concatenation, indexing (a list or array of
+row ids gathers rows), and a central finite-difference gradient checker.
+The model ops work on rows: a linear map takes (k, in) rows, the LSTM a
+packed batch of sequences, and the elementwise ops, softmax and the output
+distribution work row by row on the last axis. Values are float32 by
+default; wrap gradient checks in ``use_dtype(np.float64)`` for the
+doubled-precision test mode with tighter tolerances.
 """
 
 from __future__ import annotations
@@ -63,21 +63,20 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(t) into ``t.grad`` for every leaf t below.
 
-        Dense gradients and updates of a basic-index slice are added as
-        they arrive. Factored weight gradients and updates at index arrays
-        wait per tensor and are folded in just before that tensor's own
-        backward runs (every consumer has reported by then): all factor
-        pairs as one product, then the index-array updates in arrival order
-        (``np.add.at``, or one indexed add where no index repeats).
+        Dense gradients and row updates are added as they arrive; a row
+        update at an index array that may name a row twice goes through
+        ``np.add.at``. Factored weight gradients wait per tensor and are
+        folded in as one product just before that tensor's own backward
+        runs (every consumer has reported by then).
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        deferred = {}  # id(tensor) -> ([_Factors], [_Rows])
+        deferred = {}  # id(tensor) -> [_Factors]
         for t in reversed(order):
             if id(t) in deferred:
-                _fold(t, *deferred.pop(id(t)))
+                _fold(t, deferred.pop(id(t)))
             if t._backward is not None and t.grad is not None:
                 _pass_back(t, deferred)
 
@@ -90,15 +89,17 @@ def _pass_back(t, deferred):
     for parent, g in zip(t._parents, grads):
         if g is None:
             continue
-        if isinstance(g, _Factors) or (isinstance(g, _Rows) and _has_array(g.key)):
-            deferred.setdefault(id(parent), ([], []))[isinstance(g, _Rows)].append(g)
+        if isinstance(g, _Factors):
+            deferred.setdefault(id(parent), []).append(g)
             continue
         if parent.grad is None:
             parent.grad = np.zeros_like(parent.data)
-        if isinstance(g, _Rows):
-            parent.grad[g.key] += g.g
-        else:
+        if not isinstance(g, _Rows):
             np.add(parent.grad, g.reshape(parent.data.shape), out=parent.grad)
+        elif _has_array(g.key) and not _distinct(g.key):
+            np.add.at(parent.grad, g.key, g.g)
+        else:  # no entry named twice: one indexed add, as np.add.at would add it
+            parent.grad[g.key] += g.g
 
 
 def _has_array(key):
@@ -107,10 +108,10 @@ def _has_array(key):
         isinstance(key, tuple) and any(isinstance(k, np.ndarray) for k in key))
 
 
-# Gradients that backward defers and folds per tensor: ``left.T @ right``
-# kept as its two factors (a vector pair is one row, the outer product), and
-# ``g`` at ``[key]`` with zeros elsewhere.
+# A gradient that backward defers and folds per tensor: ``left.T @ right``
+# kept as its two factors (a vector pair is one row, the outer product).
 _Factors = namedtuple("_Factors", "left right")
+# A gradient of ``g`` at ``[key]`` and zeros elsewhere.
 _Rows = namedtuple("_Rows", "key g")
 
 
@@ -133,25 +134,15 @@ def _distinct(key):
             and (key.size < 2 or (key.min() >= 0 and np.bincount(key).max() == 1)))
 
 
-def _fold(t, factors, rows):
-    """Add deferred gradients into ``t.grad``: the factor pairs as one
-    ``vstack(left).T @ vstack(right)`` product, then each row update. An
-    update whose rows are distinct is one indexed add: that adds once per
-    element, as ``np.add.at`` does, at a fraction of its cost."""
-    if factors:
-        prod = _outer_sum(np.vstack([f.left for f in factors]),
-                          np.vstack([f.right for f in factors]))
-        if t.grad is None:
-            t.grad = prod.astype(t.data.dtype, copy=False)
-        else:
-            np.add(t.grad, prod, out=t.grad)
-    if rows and t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    for r in rows:
-        if _distinct(r.key):
-            t.grad[r.key] += r.g
-        else:
-            np.add.at(t.grad, r.key, r.g)
+def _fold(t, factors):
+    """Add ``t``'s deferred factor pairs into ``t.grad`` as one
+    ``vstack(left).T @ vstack(right)`` product."""
+    prod = _outer_sum(np.vstack([f.left for f in factors]),
+                      np.vstack([f.right for f in factors]))
+    if t.grad is None:
+        t.grad = prod.astype(t.data.dtype, copy=False)
+    else:
+        np.add(t.grad, prod, out=t.grad)
 
 
 def _toposort(root):
@@ -193,26 +184,6 @@ def zero_grads(tensors):
 
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
-
-
-def add(a, b):
-    a, b = _wrap(a), _wrap(b)
-    ash, bsh = a.data.shape, b.data.shape
-
-    def bw(g):
-        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
-
-    return Tensor(a.data + b.data, (a, b), bw)
-
-
-def mul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    ad, bd = a.data, b.data
-
-    def bw(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return Tensor(ad * bd, (a, b), bw)
 
 
 def scale(a, s):
@@ -266,7 +237,7 @@ def linear(x, w, b=None):
     # and for one row it is a matrix-vector product
     y = Tensor(np.ascontiguousarray((wd @ xd.T).T), (x, w),
                lambda g: (g @ wd, _Factors(g, xd)))
-    return y if b is None else add(y, b)
+    return y if b is None else add_n([y, b])
 
 
 def concat(tensors, axis=0):
@@ -284,18 +255,17 @@ def concat(tensors, axis=0):
 
 
 def index(a, key):
-    """``a[key]`` for a basic numpy index (ints, slices, None) or a tuple
-    of integer arrays picking single entries. Backward hands ``g`` on as a
-    row update of ``a[key]``."""
+    """``a[key]`` for a basic numpy index (ints, slices, None), a list or
+    1-D array of row ids, or a tuple of integer arrays or lists picking
+    single entries. A list is taken as an int64 array. Backward hands ``g``
+    on as a row update of ``a[key]``, where an entry read twice gets both
+    gradients."""
     a = _wrap(a)
+    if isinstance(key, tuple):
+        key = tuple(np.asarray(k, dtype=np.int64) if isinstance(k, list) else k for k in key)
+    elif isinstance(key, list):
+        key = np.asarray(key, dtype=np.int64)
     return Tensor(a.data[key], (a,), lambda g: (_Rows(key, g),))
-
-
-def gather_rows(m, indices):
-    """Rows ``m[indices]``; repeated indices add up in backward."""
-    m = _wrap(m)
-    idx = np.asarray(indices, dtype=np.int64)
-    return Tensor(m.data[idx], (m,), lambda g: (_Rows(idx, g),))
 
 
 # ---------------------------------------------------------------------------

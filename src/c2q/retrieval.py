@@ -126,11 +126,6 @@ class DedupReport:
     delta: float
     unembeddable: int = 0
 
-    def as_dict(self):
-        return {"buckets": dict(self.buckets), "removed": self.removed,
-                "kept": self.kept, "delta": self.delta,
-                "unembeddable": self.unembeddable}
-
 
 def _bucket(sim):
     # negatives (possible on the unit sphere) clamp into the first bucket

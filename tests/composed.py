@@ -1,17 +1,36 @@
 """The composed chains that ``numerics.attention_scores`` and
 ``numerics.output_dist`` replace, as the model built them before those ops
-existed: the remaining elementwise ops plus three reference ops that the
-model no longer needs (a scatter-add, a zero pad and the product of a stack
-of matrices with a vector). Tests compare each fused op with its chain,
-value for value and gradient for gradient. Beside them sit the earlier forms
-of two kernels that ``numerics`` computes another way: the two-branch
-``np.where`` sigmoid and the ``np.multiply.outer`` one-row outer product.
+existed: the remaining elementwise ops plus five reference ops that the
+model no longer needs (a two-operand add, an elementwise product, a
+scatter-add, a zero pad and the product of a stack of matrices with a
+vector). Tests compare each fused op with its chain, value for value and
+gradient for gradient. Beside them sit the earlier forms of two kernels
+that ``numerics`` computes another way, the two-branch ``np.where`` sigmoid
+and the ``np.multiply.outer`` one-row outer product, and the earlier
+backward walk, which held every row update at an index array back until a
+per-tensor fold.
 """
 
 import numpy as np
 
 from c2q import numerics as nm
 from c2q.numerics import Tensor
+
+
+def add(a, b):
+    """``a + b``, either operand broadcasting into the other."""
+    a, b = nm._wrap(a), nm._wrap(b)
+    ash, bsh = a.data.shape, b.data.shape
+    return Tensor(a.data + b.data, (a, b),
+                  lambda g: (nm._unbroadcast(g, ash), nm._unbroadcast(g, bsh)))
+
+
+def mul(a, b):
+    """``a * b``, either operand broadcasting into the other."""
+    a, b = nm._wrap(a), nm._wrap(b)
+    ad, bd = a.data, b.data
+    return Tensor(ad * bd, (a, b), lambda g: (nm._unbroadcast(g * bd, ad.shape),
+                                              nm._unbroadcast(g * ad, bd.shape)))
 
 
 def scatter_add(values, indices, size):
@@ -40,9 +59,9 @@ def stack_matvec(a, b):
 
 
 def attention_scores(query, keys, cov, w_cv, v):
-    pre = nm.add(keys, nm.index(query, (slice(None), None)))  # one (M, a) block per row
+    pre = add(keys, nm.index(query, (slice(None), None)))  # one (M, a) block per row
     if cov is not None:
-        pre = nm.add(pre, nm.mul(nm.index(cov, (..., None)), w_cv))
+        pre = add(pre, mul(nm.index(cov, (..., None)), w_cv))
     return stack_matvec(nm.tanh(pre), v)
 
 
@@ -53,8 +72,8 @@ def output_dist(x, w, b, size, gate=None, attn=None, ext_ids=None):
     gate = nm.index(gate, (slice(None), None))
     copy_dist = scatter_add(attn, ext_ids, size)
     gen_dist = pad_zeros(vocab_dist, size)
-    keep = nm.add(1.0, nm.scale(gate, -1.0))  # 1 - p_cg
-    return nm.add(nm.mul(gate, copy_dist), nm.mul(keep, gen_dist))
+    keep = add(1.0, nm.scale(gate, -1.0))  # 1 - p_cg
+    return add(mul(gate, copy_dist), mul(keep, gen_dist))
 
 
 def sigmoid_kernel(x):
@@ -69,3 +88,53 @@ def outer_sum_kernel(left, right):
     if len(left) == 1:
         return np.multiply.outer(left[0], right[0])
     return left.T @ right
+
+
+def backward(self):
+    """``Tensor.backward`` with every row update at an index array held back
+    beside the factor pairs and folded in after them, in arrival order, just
+    before the tensor's own backward runs."""
+    if self.data.size != 1:
+        raise ValueError("backward() requires a scalar output")
+    order = nm._toposort(self)
+    self.grad = np.ones_like(self.data)
+    deferred = {}  # id(tensor) -> ([_Factors], [_Rows])
+    for t in reversed(order):
+        if id(t) in deferred:
+            _fold(t, *deferred.pop(id(t)))
+        if t._backward is not None and t.grad is not None:
+            _pass_back(t, deferred)
+
+
+def _pass_back(t, deferred):
+    grads = t._backward(t.grad)
+    t.grad = None
+    for parent, g in zip(t._parents, grads):
+        if g is None:
+            continue
+        if isinstance(g, nm._Factors) or (isinstance(g, nm._Rows) and nm._has_array(g.key)):
+            deferred.setdefault(id(parent), ([], []))[isinstance(g, nm._Rows)].append(g)
+            continue
+        if parent.grad is None:
+            parent.grad = np.zeros_like(parent.data)
+        if isinstance(g, nm._Rows):
+            parent.grad[g.key] += g.g
+        else:
+            np.add(parent.grad, g.reshape(parent.data.shape), out=parent.grad)
+
+
+def _fold(t, factors, rows):
+    if factors:
+        prod = nm._outer_sum(np.vstack([f.left for f in factors]),
+                             np.vstack([f.right for f in factors]))
+        if t.grad is None:
+            t.grad = prod.astype(t.data.dtype, copy=False)
+        else:
+            np.add(t.grad, prod, out=t.grad)
+    if rows and t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    for r in rows:
+        if nm._distinct(r.key):
+            t.grad[r.key] += r.g
+        else:
+            np.add.at(t.grad, r.key, r.g)

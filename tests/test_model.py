@@ -243,6 +243,24 @@ def test_decode_step_no_copy_sums_to_one_on_base():
     assert np.allclose(step.p_star.data[vocab_size:], 0.0)
 
 
+def test_decode_step_rejects_extended_previous_ids():
+    # the caller maps an extended previous output to UNK; decode_step
+    # itself takes base-vocabulary ids only, one id or k rows
+    hyper = tiny_hyper()
+    vocab_size = 12
+    params = init_parameters(hyper, vocab_size, Rng(8))
+    base, ext = [4, UNK], [4, vocab_size]
+    ex = make_example(base, ext, ["z"], [END], vocab_size, params)
+    enc = encode(base, params, hyper)
+    rows = tuple(nm.index(s, None) for s in enc.s0)
+    for prev, state, cov in ((vocab_size, enc.s0, np.zeros(2)),
+                             ([vocab_size], rows, np.zeros((1, 2)))):
+        with pytest.raises(IndexError):
+            decode_step(prev, state, enc, Tensor(cov), ext, ex.ev, params, hyper)
+    step = decode_step(UNK, enc.s0, enc, Tensor(np.zeros(2)), ext, ex.ev, params, hyper)
+    assert abs(float(step.p_star.data.sum()) - 1.0) < 1e-6
+
+
 def _row_inputs(hyper, vocab_size, k, seed):
     rng = Rng(seed)
     params = init_parameters(hyper, vocab_size, rng)
@@ -301,9 +319,9 @@ def test_decode_step_rows_gradients(ablation):
         def f():
             step = decode_step(ids, (h, c), encode(base, params, hyper), cov,
                                ex.ext_ids, ex.ev, params, hyper)
-            total = nm.sum_all(nm.mul(step.p_star, probe))
+            total = nm.sum_all(composed.mul(step.p_star, probe))
             if step.cov_next is not None:
-                total = nm.add(total, nm.sum_all(nm.mul(step.cov_next, cov_probe)))
+                total = composed.add(total, nm.sum_all(composed.mul(step.cov_next, cov_probe)))
             return total
 
         leaves = [h, c] + ([] if cov is None else [cov])
@@ -415,18 +433,18 @@ def _composed_lstm_seq(x, h0, c0, w, u, b, sizes=None):
         starts, rows = np.cumsum(sizes) - sizes, {}
         for j in range(sizes[0]):
             mine = [s + j for s, n in zip(starts, sizes) if n > j]
-            out = _composed_lstm_seq(nm.gather_rows(x, mine), nm.index(h0, j),
+            out = _composed_lstm_seq(nm.index(x, mine), nm.index(h0, j),
                                      nm.index(c0, j), w, u, b)
             rows.update((r, nm.index(out, slice(p, p + 1))) for p, r in enumerate(mine))
         return nm.concat([rows[r] for r in range(len(rows))])
     hsize = u.data.shape[1]
     h, c, rows = h0, c0, []
     for t in range(x.shape[0]):
-        z = nm.add(nm.add(nm.matmul(w, nm.index(x, t)), nm.matmul(u, h)), b)
+        z = composed.add(composed.add(nm.matmul(w, nm.index(x, t)), nm.matmul(u, h)), b)
         i, f, o, g = (nm.index(z, slice(k * hsize, (k + 1) * hsize)) for k in range(4))
         i, f, o, g = nm.sigmoid(i), nm.sigmoid(f), nm.sigmoid(o), nm.tanh(g)
-        c = nm.add(nm.mul(f, c), nm.mul(i, g))
-        h = nm.mul(o, nm.tanh(c))
+        c = composed.add(composed.mul(f, c), composed.mul(i, g))
+        h = composed.mul(o, nm.tanh(c))
         rows.append(nm.concat([nm.index(h, (None, None)), nm.index(c, (None, None))],
                               axis=1))
     return nm.concat(rows)
@@ -594,7 +612,7 @@ def _reference_encode(base_ids, params, hyper):
         bw = nm.index(bw, rev)
         return nm.concat([nm.index(fw, hs), nm.index(bw, hs)], axis=1), fw, bw
 
-    H, fw, bw = bilstm(bilstm(nm.gather_rows(params["E"], base_ids), 1)[0], 2)
+    H, fw, bw = bilstm(bilstm(nm.index(params["E"], base_ids), 1)[0], 2)
     summary = [nm.concat([nm.index(fw, (-1, k)), nm.index(bw, (0, k))]) for k in (0, 1)]
     s0 = tuple(nm.index(nm.tanh(nm.linear(nm.index(v, None), params["W_b"], params["b_b"])), 0)
                for v in summary)
@@ -619,7 +637,7 @@ def test_encode_batch_matches_per_example_encode(ablation):
 
         def run(encs):
             nm.zero_grads(params.values())
-            nm.add_n([nm.sum_all(nm.mul(t, p)) for enc, ps in zip(encs, probes)
+            nm.add_n([nm.sum_all(composed.mul(t, p)) for enc, ps in zip(encs, probes)
                       for t, p in zip(_encoder_fields(enc), ps)]).backward()
             return ([[t.data for t in _encoder_fields(enc)] for enc in encs],
                     [t.grad for t in params.values()])
@@ -665,7 +683,7 @@ def _stepwise_loss(example, params, hyper):
         state, cov = step.state, step.cov_next
     loss = nm.scale(nm.add_n(nll_terms), 1.0 / len(target))
     if cov_terms and hyper.lambda_cov > 0:
-        loss = nm.add(loss, nm.scale(nm.add_n(cov_terms), hyper.lambda_cov / len(target)))
+        loss = composed.add(loss, nm.scale(nm.add_n(cov_terms), hyper.lambda_cov / len(target)))
     return loss, logps
 
 

@@ -61,8 +61,8 @@ def test_repeated_backward_on_one_graph_adds_one_gradient_per_pass():
 
 def test_backward_folds_factored_and_row_gradients():
     # W meets W@x and row@W three times, A enters as a non-leaf matrix
-    # operand, E is read by leaf index (int and slice keys) and gather_rows
-    # with repeated ids; every gradient is checked against a dense
+    # operand, E is read by leaf index (int and slice keys and a list of
+    # ids with repeats); every gradient is checked against a dense
     # hand-computed reference after two backward passes have accumulated.
     rng = Rng(17)
     with nm.use_dtype(np.float64):
@@ -73,7 +73,7 @@ def test_backward_folds_factored_and_row_gradients():
         ids = [0, 3, 0, 3, 3]
 
         def dot(u, t):
-            return nm.sum_all(nm.mul(Tensor(u), t))
+            return nm.sum_all(composed.mul(Tensor(u), t))
 
         def loss():
             x1 = nm.index(E, 2)
@@ -84,8 +84,8 @@ def test_backward_folds_factored_and_row_gradients():
                      dot(u4, nm.matmul(M, x3)),
                      dot(u5, nm.matmul(z, M)),
                      dot(v1, x1),
-                     nm.sum_all(nm.mul(nm.index(E, slice(1, 3)), Tensor(V2))),
-                     nm.sum_all(nm.mul(nm.gather_rows(E, ids), Tensor(V3)))]
+                     nm.sum_all(composed.mul(nm.index(E, slice(1, 3)), Tensor(V2))),
+                     nm.sum_all(composed.mul(nm.index(E, ids), Tensor(V3)))]
             return nm.add_n(terms)
 
         for _ in range(2):
@@ -185,7 +185,7 @@ def test_lstm_seq_gradients_match_finite_differences(reverse):
         def f():
             out = (nm.index(nm.lstm_seq(nm.index(x, rev), hp, cp, w, u, b, sizes), rev)
                    if reverse else nm.lstm_seq(x, hp, cp, w, u, b, sizes))
-            return nm.sum_all(nm.mul(out, probe))
+            return nm.sum_all(composed.mul(out, probe))
 
         err = nm.finite_diff_check(f, [x, hp, cp, w, u, b], epsilon=1e-5)
     assert err < 1e-3
@@ -195,7 +195,7 @@ def test_finite_diff_polynomial():
     x = Tensor(3.0)
 
     def f():
-        return nm.mul(x, x)
+        return composed.mul(x, x)
 
     err = nm.finite_diff_check(f, [x], epsilon=1e-3)
     assert err < 1e-4
@@ -205,7 +205,7 @@ def test_finite_diff_constant():
     x = Tensor(2.0)
 
     def f():
-        return nm.mul(x, Tensor(0.0))
+        return composed.mul(x, Tensor(0.0))
 
     assert nm.finite_diff_check(f, [x]) == 0.0
 
@@ -319,7 +319,7 @@ def test_row_ops_match_per_row_ops_and_fold_weight_factors():
         assert (out.data[:, 5] == 0).all()
 
         def f():
-            return nm.sum_all(nm.mul(rows(), probe))
+            return nm.sum_all(composed.mul(rows(), probe))
 
         err = nm.finite_diff_check(f, [W, bias, X, v, W2, b2, gate], epsilon=1e-6)
         # W's gradient from the row form reaches backward as a factor pair
@@ -361,7 +361,7 @@ def test_packed_lstm_seq_matches_separate_sequences_and_finite_differences(lengt
 
         def f():
             out = nm.lstm_seq(x, h0, c0, w, u, b, sizes=sizes)
-            return nm.sum_all(nm.mul(out, Tensor(probe)))
+            return nm.sum_all(composed.mul(out, Tensor(probe)))
 
         leaves = [x, h0, c0, w, u, b]
         nm.zero_grads(leaves)
@@ -374,7 +374,7 @@ def test_packed_lstm_seq_matches_separate_sequences_and_finite_differences(lengt
             xs, hs, cs = Tensor(s), Tensor(h0.data[j:j + 1]), Tensor(c0.data[j:j + 1])
             alone = nm.lstm_seq(xs, hs, cs, w, u, b, sizes=[1] * len(s))
             np.testing.assert_allclose(out.data[r], alone.data, rtol=1e-12, atol=1e-15)
-            nm.sum_all(nm.mul(alone, Tensor(probe[r]))).backward()
+            nm.sum_all(composed.mul(alone, Tensor(probe[r]))).backward()
             for got, want in ((packed_grads[0][r], xs.grad), (packed_grads[1][j], hs.grad[0]),
                               (packed_grads[2][j], cs.grad[0])):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -434,7 +434,7 @@ def test_finite_diff_accepts_one_element_outputs():
     # Tensor.backward takes any one-element output, and so does the checker
     w = Tensor([1.0, -2.0, 0.5])
     for f in (lambda: nm.matmul(Tensor(np.ones((1, 3))), w),
-              lambda: nm.index(nm.mul(w, w), slice(1, 2))):
+              lambda: nm.index(composed.mul(w, w), slice(1, 2))):
         assert f().shape == (1,)
         assert nm.finite_diff_check(f, [w], epsilon=1e-3) < 1e-3
 
@@ -442,7 +442,7 @@ def test_finite_diff_accepts_one_element_outputs():
 def test_finite_diff_rejects_outputs_of_several_elements():
     w = Tensor([1.0, -2.0])
     with pytest.raises(ValueError, match="one element"):
-        nm.finite_diff_check(lambda: nm.mul(w, w), [w])
+        nm.finite_diff_check(lambda: composed.mul(w, w), [w])
     assert w.grad is None  # rejected before any backward pass
 
 
@@ -460,10 +460,22 @@ def test_fold_adds_distinct_rows_as_add_at_does_bitwise(dtype):
             probe = Tensor(rng.uniform(-1, 1, (len(key), 3)))
             want = np.zeros_like(E.data)
             for _ in range(2):
-                nm.sum_all(nm.mul(nm.gather_rows(E, key), probe)).backward()
+                nm.sum_all(composed.mul(nm.index(E, key), probe)).backward()
                 np.add.at(want, key, probe.data)
             assert E.grad.dtype == dtype
             assert np.array_equal(E.grad, want)
+
+
+def test_index_by_a_list_with_a_repeated_row_adds_its_gradient_twice():
+    E = Tensor(np.zeros((3, 2)))
+    out = nm.index(E, [0, 0])
+    assert out.shape == (2, 2)
+    nm.sum_all(out).backward()
+    assert np.array_equal(E.grad, [[2.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
+    # lists inside a tuple pick single entries; one picked twice adds twice
+    E.grad = None
+    nm.sum_all(nm.index(E, ([0, 2, 0], [1, 0, 1]))).backward()
+    assert np.array_equal(E.grad, [[0.0, 2.0], [0.0, 0.0], [1.0, 0.0]])
 
 
 def _attention_inputs(rng, k, m=5, a=4, coverage=True):
@@ -491,7 +503,7 @@ def _value_and_grads(op, args, probe):
     leaves = _leaves(args)
     nm.zero_grads(leaves)
     out = op(*args)
-    nm.sum_all(nm.mul(out, Tensor(probe))).backward()
+    nm.sum_all(composed.mul(out, Tensor(probe))).backward()
     return [out.data] + [t.grad for t in leaves]
 
 
@@ -546,8 +558,8 @@ def test_attention_scores_gradients_match_finite_differences(coverage, masked):
         probe = Tensor(rng.uniform(-1, 1, (2, 5)))
 
         def f():
-            scores = nm.add(nm.attention_scores(*args), offset)
-            return nm.sum_all(nm.mul(nm.softmax(scores), probe))
+            scores = composed.add(nm.attention_scores(*args), offset)
+            return nm.sum_all(composed.mul(nm.softmax(scores), probe))
 
         err = nm.finite_diff_check(f, _leaves(args), epsilon=1e-6)
     assert err < 1e-6
@@ -562,8 +574,8 @@ def test_output_dist_gradients_match_finite_differences(copy):
         probe = Tensor(rng.uniform(-1, 1, (2, 9)))
 
         def f():
-            return nm.sum_all(nm.log(nm.clamp_min(nm.mul(nm.output_dist(*args), probe),
-                                                  1e-12)))
+            return nm.sum_all(nm.log(nm.clamp_min(composed.mul(nm.output_dist(*args),
+                                                               probe), 1e-12)))
 
         # a probe of positive entries keeps the log away from its floor
         probe.data[...] = np.abs(probe.data) + 0.1

@@ -13,9 +13,6 @@ USERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / 
 
 # Kept although only the unit tests call them, each for a named reason.
 KEPT = {
-    # the chains in tests/composed.py, which the fused kernels must match
-    # bit for bit, multiply with it
-    "numerics.mul",
     # the finite-difference gradient oracle that judges every kernel
     "numerics.finite_diff_check",
 }

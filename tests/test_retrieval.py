@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -410,7 +411,7 @@ def test_dedup_matches_per_query_scan(case, seed, normalize, scale, dtype, delta
                                                                    delta, normalize)
     assert [p.id for p in clean] == want_clean
     assert [p.id for p in removed] == want_removed
-    assert report.as_dict() == want_report
+    assert dataclasses.asdict(report) == want_report
     # the maxima themselves, bit for bit, not only as buckets and removals
     queries = [e for p in test if not (e := embed_code(p.code_tokens, E, vocab, normalize)).zero]
     corpus = embed_corpus(train, E, vocab, normalize)
