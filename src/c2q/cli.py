@@ -23,7 +23,7 @@ from .model import ABLATION_PRESETS, MAX_DECODE_LEN, Hyperparams, encode_example
 from .numerics import Rng
 from .train import (CheckpointError, TrainConfig, TrainingDivergedError,
                     load_checkpoint, train)
-from .vocab import Vocabulary, VocabFormatError, build_vocab, is_utf8
+from .vocab import SPECIALS, Vocabulary, VocabFormatError, build_vocab, is_utf8
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 
@@ -58,6 +58,11 @@ def _decode_len(text):
     if value > MAX_DECODE_LEN:
         raise argparse.ArgumentTypeError(f"must be <= {MAX_DECODE_LEN}, got {value}")
     return value
+
+
+def _vocab_size(text):
+    """argparse type for --max-size: an int that leaves room for the specials."""
+    return _at_least(len(SPECIALS), int(text))
 
 
 def _size(text):
@@ -168,7 +173,7 @@ def build_parser():
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-freq", type=_size, default=1)
-    p.add_argument("--max-size", type=_count, default=None)
+    p.add_argument("--max-size", type=_vocab_size, default=None)
 
     p = add_parser("train", help="train the model")
     _add_common(p, seed=True)

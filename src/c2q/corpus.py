@@ -367,11 +367,18 @@ def write_pairs(pairs, path):
                                  "title_tokens": p.title_tokens}) + "\n")
 
 
+def _code(tokens):
+    """A record's code tokens; the encoder needs at least one."""
+    if not tokens:
+        raise DataError("code has no tokens")
+    return tokens
+
+
 def _pair(obj):
     if not is_utf8(obj["lang"]):
         raise TypeError("lang must be a UTF-8 string")
     return QCPair(id=_json_int(obj, "id"), lang=obj["lang"],
-                  code_tokens=token_list(obj["code_tokens"], "code_tokens"),
+                  code_tokens=_code(token_list(obj["code_tokens"], "code_tokens")),
                   title_tokens=token_list(obj["title_tokens"], "title_tokens"))
 
 
@@ -382,15 +389,15 @@ def read_pairs(path):
 def read_snippets(path, lang):
     """Code token lists of snippet records (stdin when ``path`` is None):
     each holds ``code_tokens``, or ``code`` tokenized as its ``lang``
-    (``lang`` when it names none)."""
+    (``lang`` when it names none). Code with no tokens is rejected."""
     def snippet(obj):
         if "code_tokens" in obj:
-            return token_list(obj["code_tokens"], "code_tokens")
+            return _code(token_list(obj["code_tokens"], "code_tokens"))
         if "code" not in obj:
             raise DataError("need code_tokens or code")
         code, code_lang = obj["code"], obj.get("lang", lang)
         if not (is_utf8(code) and is_utf8(code_lang)):
             raise DataError("code and lang must be UTF-8 strings")
-        return tokenize_code(code, code_lang)
+        return _code(tokenize_code(code, code_lang))
 
     return _read_records(path, "snippet", snippet)

@@ -117,9 +117,8 @@ def _beam(stepper, start_state, start_cov, k, max_len):
 
 
 def beam_search(code_tokens, params, vocab, hyper, k=10, max_len=None):
-    """Ranked decoded sequences; ranking by length-normalized log-probability."""
-    if not code_tokens:
-        raise ValueError("beam_search: empty code token sequence")
+    """Ranked decoded sequences; ranking by length-normalized log-probability.
+    Empty ``code_tokens`` raise ValueError in ``encode_source``."""
     if k < 1:
         raise ValueError("beam size must be >= 1")
     if max_len is None:

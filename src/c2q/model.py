@@ -213,13 +213,12 @@ def encode(base_ids, params, hyper):
 
 def attention_step(s_t, H, keys, cov, params):
     """(a_t, c_t) of decoder state rows ``s_t`` (k, h): attention rows
-    (k, M), each a softmax over the source rows of H, and the weighted
-    contexts (k, 2h). ``keys`` are H·W_ehᵀ as ``encode`` computes them once
-    per source. ``cov`` (k, M) holds the coverage rows; None drops the
-    coverage term."""
+    (k, M), each a softmax over the source rows of H and one graph node
+    with its scores, and the weighted contexts (k, 2h). ``keys`` are H·W_ehᵀ
+    as ``encode`` computes them once per source. ``cov`` (k, M) holds the
+    coverage rows; None drops the coverage term."""
     query = nm.linear(s_t, params["W_sh"], params["b_att"])
-    scores = nm.attention_scores(query, keys, cov, params["W_cv"], params["v"])
-    a = nm.softmax(scores)
+    a = nm.attention_weights(query, keys, cov, params["W_cv"], params["v"])
     c = nm.matmul(a, H)
     return a, c
 
@@ -333,7 +332,7 @@ def sequence_loss(example, params, hyper, enc=None):
                              nm.index(params["E"], feed),
                              nm.concat(attns) if hyper.copy else None,
                              example.ext_ids, ext_size, params, hyper)
-    logp = nm.log(nm.clamp_min(nm.index(p_star, (np.arange(t_len), target)), LOGPROB_FLOOR))
+    logp = nm.log(nm.index(p_star, (np.arange(t_len), target)), LOGPROB_FLOOR)
     loss = nm.scale(nm.sum_all(logp), -1.0 / t_len)
     if cov_terms and hyper.lambda_cov > 0:
         loss = nm.add_n([loss, nm.scale(nm.add_n(cov_terms), hyper.lambda_cov / t_len)])

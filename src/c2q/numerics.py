@@ -1,14 +1,15 @@
 """Minimal dense-tensor kernel with reverse-mode automatic differentiation.
 
-Everything the encoder/decoder needs: linear maps, a whole-sequence LSTM,
-the additive attention scores, the output distribution with its copy mix,
-softmax, sigmoid/tanh, sums, concatenation, indexing (a list or array of
-row ids gathers rows), and a central finite-difference gradient checker.
-The model ops work on rows: a linear map takes (k, in) rows, the LSTM a
-packed batch of sequences, and the elementwise ops, softmax and the output
-distribution work row by row on the last axis. Values are float32 by
-default; wrap gradient checks in ``use_dtype(np.float64)`` for the
-doubled-precision test mode with tighter tolerances.
+Everything the encoder/decoder needs, each op one graph node: biased
+linear maps, a whole-sequence LSTM, the additive attention weights (scores
+and their softmax), the output distribution with its copy mix,
+sigmoid/tanh, a floored log, sums, concatenation, indexing (a list or
+array of row ids gathers rows), and a central finite-difference gradient
+checker. The model ops work on rows: a linear map takes (k, in) rows, the
+LSTM a packed batch of sequences, and the elementwise ops, the attention
+and the output distribution work row by row on the last axis. Values are
+float32 by default; wrap gradient checks in ``use_dtype(np.float64)`` for
+the doubled-precision test mode with tighter tolerances.
 """
 
 from __future__ import annotations
@@ -87,8 +88,6 @@ def _pass_back(t, deferred):
     grads = t._backward(t.grad)
     t.grad = None  # a non-leaf's gradient is spent; a second pass starts clean
     for parent, g in zip(t._parents, grads):
-        if g is None:
-            continue
         if isinstance(g, _Factors):
             deferred.setdefault(id(parent), []).append(g)
             continue
@@ -227,17 +226,18 @@ def matmul(a, b):
 
 
 def linear(x, w, b=None):
-    """Rows y = xWᵀ + b of rows x (k, in), as one product. W's gradient is
-    deferred as factors."""
+    """Rows y = xWᵀ + b of rows x (k, in) as one graph node, bias included.
+    W's gradient is deferred as factors."""
     x = _wrap(x)
     xd, wd = x.data, w.data
     if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
         raise ShapeError(f"linear shapes {xd.shape} and {wd.shape} not conformable")
     # W·Xᵀ: W as the left operand runs about twice as fast here as X·Wᵀ,
     # and for one row it is a matrix-vector product
-    y = Tensor(np.ascontiguousarray((wd @ xd.T).T), (x, w),
-               lambda g: (g @ wd, _Factors(g, xd)))
-    return y if b is None else add_n([y, b])
+    y = np.ascontiguousarray((wd @ xd.T).T)
+    if b is None:
+        return Tensor(y, (x, w), lambda g: (g @ wd, _Factors(g, xd)))
+    return Tensor(y + b.data, (x, w, b), lambda g: (g @ wd, _Factors(g, xd), g.sum(axis=0)))
 
 
 def concat(tensors, axis=0):
@@ -297,22 +297,11 @@ def tanh(a):
     return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def log(a):
+def log(a, floor):
+    """log(max(a, floor)); an entry at or below the floor gets no gradient."""
     a = _wrap(a)
-    with np.errstate(divide="ignore"):
-        out = np.log(a.data)
-    return Tensor(out, (a,), lambda g: (g / a.data,))
-
-
-def clamp_min(a, floor):
-    a = _wrap(a)
-    floor = float(floor)
-    keep = a.data > floor
-
-    def bw(g):
-        return (np.where(keep, g, 0.0).astype(a.data.dtype),)
-
-    return Tensor(np.maximum(a.data, floor), (a,), bw)
+    floored = np.maximum(a.data, float(floor))
+    return Tensor(np.log(floored), (a,), lambda g: (np.where(a.data > floor, g / floored, 0.0),))
 
 
 def minimum(a, b):
@@ -331,17 +320,11 @@ def sum_all(a):
     return Tensor(a.data.sum(), (a,), lambda g: (np.full_like(a.data, float(g)),))
 
 
-def softmax(v):
+def _softmax(x):
     """Probabilities over the last axis, row by row; max-subtracted for
     stability."""
-    v = _wrap(v)
-    p = _softmax(v.data, v.data.dtype)
-    return Tensor(p, (v,), lambda g: (_softmax_back(p, g),))
-
-
-def _softmax(x, dtype):
     ex = np.exp(x - x.max(axis=-1, keepdims=True))
-    return (ex / ex.sum(axis=-1, keepdims=True)).astype(dtype, copy=False)
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def _softmax_back(p, g):
@@ -349,14 +332,15 @@ def _softmax_back(p, g):
     return (p * (g - inner)).astype(p.dtype, copy=False)
 
 
-def attention_scores(query, keys, cov, w_cv, v):
-    """Additive attention scores tanh(keys + query + cov·w_cv)·v as one
-    graph node: (k, M) scores of query rows (k, a) against key rows (M, a),
-    with coverage rows ``cov`` (k, M) scaling ``w_cv`` (a,) at each source
-    position; ``cov=None`` drops that term. The node keeps the (k, M, a)
-    block once, as its tanh. Its backward runs the expressions of the
-    composed add / mul / tanh / matmul chain in that chain's order, so
-    every gradient is that chain's bit for bit."""
+def attention_weights(query, keys, cov, w_cv, v):
+    """Additive attention as one graph node: (k, M) rows softmax(e) of the
+    scores e = tanh(keys + query + cov·w_cv)·v of query rows (k, a) against
+    key rows (M, a), with coverage rows ``cov`` (k, M) scaling ``w_cv`` (a,)
+    at each source position; ``cov=None`` drops that term. The node keeps
+    the (k, M, a) block once, as its tanh, beside the weights. Its backward
+    runs the expressions of the composed add / mul / tanh / matmul /
+    softmax chain in that chain's order, so every gradient is that chain's
+    bit for bit."""
     query, keys, v = _wrap(query), _wrap(keys), _wrap(v)
     qd, kd, vd = query.data, keys.data, v.data
     if qd.ndim != 2 or kd.ndim != 2 or qd.shape[1] != kd.shape[1] or vd.shape != kd.shape[1:]:
@@ -374,8 +358,10 @@ def attention_scores(query, keys, cov, w_cv, v):
         th += ci * w_cv.data
         parents = (keys, query, cov, w_cv, v)
     np.tanh(th, out=th)
+    p = _softmax(th @ vd)
 
     def bw(g):
+        g = _softmax_back(p, g)
         dv = th.reshape(-1, vd.shape[0]).T @ g.reshape(-1)
         dpre = g[..., None] * vd * (1.0 - th * th)
         grads = (_unbroadcast(dpre, kd.shape), _unbroadcast(dpre, (len(qd), 1, vd.shape[0])))
@@ -384,7 +370,7 @@ def attention_scores(query, keys, cov, w_cv, v):
         return grads + (_unbroadcast(dpre * w_cv.data, ci.shape),
                         _unbroadcast(dpre * ci, w_cv.shape), dv)
 
-    return Tensor(th @ vd, parents, bw)
+    return Tensor(p, parents, bw)
 
 
 def output_dist(x, w, b, size, gate=None, attn=None, ext_ids=None):
@@ -404,7 +390,7 @@ def output_dist(x, w, b, size, gate=None, attn=None, ext_ids=None):
         raise ShapeError(f"output shapes x {xd.shape}, W {wd.shape}, b {b.data.shape}, "
                          f"size {size}")
     lin = np.ascontiguousarray((wd @ xd.T).T) + b.data  # as linear computes it
-    p = _softmax(lin, lin.dtype)
+    p = _softmax(lin)
 
     def padded():
         if size == vocab:

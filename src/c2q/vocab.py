@@ -105,13 +105,15 @@ def build_vocab(token_streams, min_freq=1, max_size=None):
     """
     if min_freq < 0:
         raise ValueError("min_freq must be >= 0")
+    if max_size is not None and max_size < len(SPECIALS):
+        raise ValueError(f"max_size must be >= {len(SPECIALS)}, the specials included")
     counts = Counter()
     for stream in token_streams:
         counts.update(stream)
     eligible = [t for t, c in counts.items() if c > min_freq and t not in SPECIALS]
     eligible.sort(key=lambda t: (-counts[t], t))
     if max_size is not None:
-        eligible = eligible[:max(0, max_size - len(SPECIALS))]
+        eligible = eligible[:max_size - len(SPECIALS)]
     return Vocabulary(list(SPECIALS) + eligible)
 
 

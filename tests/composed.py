@@ -1,14 +1,15 @@
-"""The composed chains that ``numerics.attention_scores`` and
-``numerics.output_dist`` replace, as the model built them before those ops
-existed: the remaining elementwise ops plus five reference ops that the
+"""The composed chains that ``numerics.attention_weights``,
+``numerics.output_dist``, ``numerics.linear`` with a bias and
+``numerics.log`` with a floor replace, as the model built them before those
+ops existed: the remaining elementwise ops plus the reference ops that the
 model no longer needs (a two-operand add, an elementwise product, a
-scatter-add, a zero pad and the product of a stack of matrices with a
-vector). Tests compare each fused op with its chain, value for value and
-gradient for gradient. Beside them sit the earlier forms of two kernels
-that ``numerics`` computes another way, the two-branch ``np.where`` sigmoid
-and the ``np.multiply.outer`` one-row outer product, and the earlier
-backward walk, which held every row update at an index array back until a
-per-tensor fold.
+scatter-add, a zero pad, the product of a stack of matrices with a vector,
+a softmax, a floor and a log without one). Tests compare each fused op
+with its chain, value for value and gradient for gradient. Beside them
+sit the earlier forms of two kernels that ``numerics`` computes another
+way, the two-branch ``np.where`` sigmoid and the ``np.multiply.outer``
+one-row outer product, and the earlier backward walk, which held every
+row update at an index array back until a per-tensor fold.
 """
 
 import numpy as np
@@ -58,15 +59,59 @@ def stack_matvec(a, b):
                                               ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1)))
 
 
+def softmax(v):
+    """Probabilities over the last axis, row by row."""
+    v = nm._wrap(v)
+    p = nm._softmax(v.data)
+    return Tensor(p, (v,), lambda g: (nm._softmax_back(p, g),))
+
+
+def clamp_min(a, floor):
+    """``max(a, floor)``; an entry at or below the floor gets no gradient."""
+    a = nm._wrap(a)
+    floor = float(floor)
+    keep = a.data > floor
+
+    def bw(g):
+        return (np.where(keep, g, 0.0).astype(a.data.dtype),)
+
+    return Tensor(np.maximum(a.data, floor), (a,), bw)
+
+
+def plain_log(a):
+    """``log(a)`` with no floor."""
+    a = nm._wrap(a)
+    with np.errstate(divide="ignore"):
+        out = np.log(a.data)
+    return Tensor(out, (a,), lambda g: (g / a.data,))
+
+
+def log(a, floor):
+    return plain_log(clamp_min(a, floor))
+
+
+_linear = nm.linear  # the product node alone, also while a test patches in ``linear``
+
+
+def linear(x, w, b=None):
+    y = _linear(x, w)
+    return y if b is None else nm.add_n([y, b])
+
+
 def attention_scores(query, keys, cov, w_cv, v):
+    """The scores e whose softmax ``attention_weights`` is."""
     pre = add(keys, nm.index(query, (slice(None), None)))  # one (M, a) block per row
     if cov is not None:
         pre = add(pre, mul(nm.index(cov, (..., None)), w_cv))
     return stack_matvec(nm.tanh(pre), v)
 
 
+def attention_weights(query, keys, cov, w_cv, v):
+    return softmax(attention_scores(query, keys, cov, w_cv, v))
+
+
 def output_dist(x, w, b, size, gate=None, attn=None, ext_ids=None):
-    vocab_dist = nm.softmax(nm.linear(x, w, b))
+    vocab_dist = softmax(linear(x, w, b))
     if gate is None:
         return pad_zeros(vocab_dist, size)
     gate = nm.index(gate, (slice(None), None))
@@ -110,8 +155,6 @@ def _pass_back(t, deferred):
     grads = t._backward(t.grad)
     t.grad = None
     for parent, g in zip(t._parents, grads):
-        if g is None:
-            continue
         if isinstance(g, nm._Factors) or (isinstance(g, nm._Rows) and nm._has_array(g.key)):
             deferred.setdefault(id(parent), ([], []))[isinstance(g, nm._Rows)].append(g)
             continue

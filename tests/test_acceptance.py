@@ -274,24 +274,34 @@ def _repeated_trigrams(seqs):
     return total
 
 
+COVERAGE_SEEDS = (1, 5)
+COVERAGE_ABLATIONS = ("atten", "atten+coverage")
+
+
+def _coverage_run(pairs, name, seed):
+    """Criterion 5's training of one ablation at one seed: (hyper, vocab,
+    examples, params, repeated trigrams of the greedy titles)."""
+    hyper = Hyperparams(embed_dim=32, hidden=32,
+                        ablation=ABLATION_PRESETS[name],
+                        max_decode_len=12)
+    config = TrainConfig(lr=0.5, batch_size=4, epochs=300,
+                         grad_clip_norm=5.0, seed=seed)
+    vocab, examples, params, _ = _train_corpus(pairs, hyper, config)
+    outs = [greedy_decode(p.code_tokens, params, vocab, hyper,
+                          max_len=12) for p in pairs]
+    return hyper, vocab, examples, params, _repeated_trigrams(outs)
+
+
 @pytest.mark.slow
 def test_criterion_5_coverage_efficacy():
     with criterion(5, "coverage efficacy", 300):
         pairs = _stress_corpus()
-        repeats = {"atten": 0, "atten+coverage": 0}
+        repeats = dict.fromkeys(COVERAGE_ABLATIONS, 0)
         penalty_checked = False
-        for seed in (1, 5):
+        for seed in COVERAGE_SEEDS:
             for name in repeats:
-                hyper = Hyperparams(embed_dim=32, hidden=32,
-                                    ablation=ABLATION_PRESETS[name],
-                                    max_decode_len=12)
-                config = TrainConfig(lr=0.5, batch_size=4, epochs=300,
-                                     grad_clip_norm=5.0, seed=seed)
-                vocab, examples, params, _ = _train_corpus(pairs, hyper,
-                                                           config)
-                outs = [greedy_decode(p.code_tokens, params, vocab, hyper,
-                                      max_len=12) for p in pairs]
-                repeats[name] += _repeated_trigrams(outs)
+                hyper, vocab, examples, params, count = _coverage_run(pairs, name, seed)
+                repeats[name] += count
                 if name == "atten+coverage" and not penalty_checked:
                     penalty_checked = True
                     ex = examples[0]

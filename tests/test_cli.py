@@ -280,6 +280,17 @@ def test_config_bytes_that_are_not_utf8_name_their_file_and_line(workdir, capsys
     assert not (tmp_path / "v.txt").exists()
 
 
+def test_config_max_size_below_the_specials_is_data_error(workdir, capsys, tmp_path):
+    cfg = tmp_path / "c2q.cfg"
+    cfg.write_text("max_size=2\n")
+    assert run(["build-vocab", "--config", str(cfg), "--pairs",
+                workdir["train"], "--out", str(tmp_path / "v.txt")]) == 2
+    err = capsys.readouterr().err
+    assert len(_error_lines(err)) == 1 and err.startswith("error kind=data")
+    assert "max_size" in err
+    assert not (tmp_path / "v.txt").exists()
+
+
 def test_threads_env_same_output(workdir, capsys, tmp_path, monkeypatch):
     snippets = tmp_path / "snippets.jsonl"
     snippets.write_text('{"code": "a = f(1)"}\n{"code": "b = g(2)"}\n'
@@ -309,6 +320,7 @@ def _error_lines(err):
     ["preprocess", "--input", "x.jsonl", "--out-dir", "x", "--val-count", "-5"],
     ["preprocess", "--input", "x.jsonl", "--out-dir", "x", "--test-count", "-1"],
     ["build-vocab", "--pairs", "x.jsonl", "--out", "x.txt", "--max-size", "-1"],
+    ["build-vocab", "--pairs", "x.jsonl", "--out", "x.txt", "--max-size", "3"],  # < 4 specials
     ["build-vocab", "--pairs", "x.jsonl", "--out", "x.txt", "--min-freq", "-1"],
     *[["train", "--train-pairs", "x.jsonl", "--checkpoint", "x.ckpt", flag, value]
       for flag, value in [("--epochs", "0"), ("--batch-size", "0"),
@@ -475,6 +487,8 @@ def test_oversized_dimension_is_one_error_line(workdir, capsys, tmp_path, argv):
     '{"code_tokens": ["x", "<end>"]}',
     '{"code": "x = \\ud800"}',  # a lone surrogate: UTF-8 cannot encode it
     '{"code": "x = 1", "lang": "\\udc00"}',
+    '{"code_tokens": []}',  # code with no tokens, given or tokenized
+    '{"code": "# only a comment"}',
 ])
 def test_malformed_snippet_is_data_error(workdir, capsys, tmp_path, line):
     snippets = tmp_path / "s.jsonl"
@@ -576,6 +590,23 @@ def test_pair_lang_must_be_a_string(workdir, capsys, tmp_path):
         assert len(_error_lines(err)) == 1 and err.startswith("error kind=data")
         assert f"{pairs}:3:" in err
     assert not out_pairs.exists()
+
+
+def test_pair_without_code_tokens_is_data_error(workdir, capsys, tmp_path):
+    # the encoder needs a token; the reader names the record instead
+    record = VALID_RECORDS["pairs"]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps(record) + "\n" + json.dumps(dict(record, code_tokens=[])) + "\n")
+    for argv in (["train", "--train-pairs", str(pairs), "--vocab", workdir["vocab"],
+                  "--checkpoint", str(tmp_path / "m.ckpt"), "--epochs", "1"] + TINY,
+                 ["evaluate", "--checkpoint", workdir["ckpt"], "--vocab", workdir["vocab"],
+                  "--test-pairs", str(pairs), "--greedy"],
+                 ["ir-baseline", "--train-pairs", workdir["train"], "--test-pairs", str(pairs)]):
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and len(_error_lines(out.err)) == 1
+        assert out.err.startswith("error kind=data") and f"{pairs}:2:" in out.err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_deeply_nested_checkpoint_header_is_data_error(workdir, capsys, tmp_path):

@@ -213,6 +213,24 @@ def test_read_pairs_requires_lists_of_nonempty_strings(tmp_path, field, value):
         corpus.read_pairs(path)
 
 
+@pytest.mark.parametrize("record", [
+    {"code_tokens": []}, {"code": "# only a comment", "lang": "python"}, {"code": "  \n"},
+], ids=["no-tokens", "comment-only", "blank"])
+def test_read_snippets_rejects_code_without_tokens_at_its_line(tmp_path, record):
+    path = tmp_path / "snippets.jsonl"
+    path.write_text('{"code_tokens": ["x"]}\n' + json.dumps(record) + "\n")
+    with pytest.raises(corpus.DataError, match=f"{path}:2: .*code has no tokens"):
+        corpus.read_snippets(path, "python")
+
+
+def test_read_pairs_rejects_code_without_tokens_at_its_line(tmp_path):
+    record = {"id": 1, "lang": "python", "code_tokens": ["x"], "title_tokens": ["how"]}
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps(dict(record, code_tokens=[])) + "\n")
+    with pytest.raises(corpus.DataError, match=f"{path}:2: .*code has no tokens"):
+        corpus.read_pairs(path)
+
+
 def test_token_list_accepts_marker_text_spread_over_tokens():
     # tokenize_code("a<end>b") is a valid token list that joins to "a<end>b"
     tokens = tokenize_code("a<end>b", "java")

@@ -496,8 +496,9 @@ def test_lstm_seq_matches_composed_ops(ablation, dtype, monkeypatch):
 @pytest.mark.parametrize("ablation", sorted(ABLATION_PRESETS))
 def test_fused_attention_and_output_match_composed_ops_bitwise(ablation, dtype, monkeypatch):
     # a batch's loss and every gradient, and a k-row decoder step, bit for
-    # bit with the attention scores and the output distribution built as
-    # the composed chains of tests/composed.py: the fused nodes repeat the
+    # bit with the attention weights, the output distribution, the biased
+    # linear maps and the floored log built as the composed chains of
+    # tests/composed.py: the fused nodes repeat the
     # chains' arithmetic, and backward's walk reaches and adds into every
     # tensor in the chains' order. Tokens repeat and targets copy extended
     # ids, so shared tensors sum gradients from many places.
@@ -527,8 +528,10 @@ def test_fused_attention_and_output_match_composed_ops_bitwise(ablation, dtype, 
     for seed in range(3):
         fused = run(seed)
         with monkeypatch.context() as m:
-            m.setattr(nm, "attention_scores", composed.attention_scores)
+            m.setattr(nm, "attention_weights", composed.attention_weights)
             m.setattr(nm, "output_dist", composed.output_dist)
+            m.setattr(nm, "linear", composed.linear)
+            m.setattr(nm, "log", composed.log)
             chain = run(seed)
         assert [g is None for g in fused] == [g is None for g in chain]
         for got, want in zip(fused, chain):
@@ -675,7 +678,7 @@ def _stepwise_loss(example, params, hyper):
     nll_terms, cov_terms, logps = [], [], []
     for y_prev, y in zip(feed, target):
         step = decode_step(y_prev, state, enc, cov, example.ext_ids, example.ev, params, hyper)
-        logp = nm.log(nm.clamp_min(nm.index(step.p_star, y), md.LOGPROB_FLOOR))
+        logp = nm.log(nm.index(step.p_star, y), md.LOGPROB_FLOOR)
         nll_terms.append(nm.scale(logp, -1.0))
         logps.append(float(logp.data))
         if hyper.coverage:

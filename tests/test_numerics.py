@@ -42,6 +42,45 @@ def test_linear_shape_mismatch_names_shapes():
             nm.matmul(Tensor(np.zeros(left)), Tensor(np.zeros(right)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 4])
+def test_biased_linear_matches_product_and_add_n_bitwise(k, dtype):
+    # one node with parents (x, w, b) against the product node plus add_n:
+    # the same value and the same gradient for x, W (its factor pair) and b
+    rng = Rng(k)
+    with nm.use_dtype(dtype):
+        args = tuple(Tensor(rng.uniform(-1, 1, shape)) for shape in ((k, 5), (3, 5), 3))
+        probe = rng.uniform(-1, 1, (k, 3))
+        fused = _value_and_grads(nm.linear, args, probe)
+        chain = _value_and_grads(composed.linear, args, probe)
+        y = nm.linear(*args)
+        assert y._parents == args
+        assert isinstance(y._backward(np.ones(y.shape))[1], nm._Factors)
+    assert len(fused) == len(chain) == 4
+    for got, want in zip(fused, chain):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_floored_log_matches_log_of_clamp_min_bitwise(dtype):
+    # entries above, at and below the floor (zero included): the same
+    # value, and a gradient only above the floor
+    floor = 1e-12
+    with nm.use_dtype(dtype):
+        a = Tensor(np.array([[0.5, floor, 0.0, 1e-13], [1.0, 3e-12, floor / 2, 2.0]]))
+        at_floor = a.data <= floor
+        probe = Rng(3).uniform(-1, 1, a.shape)
+        got = _value_and_grads(lambda t: nm.log(t, floor), (a,), probe)
+        want = _value_and_grads(lambda t: composed.log(t, floor), (a,), probe)
+    assert at_floor.sum() == 4
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == dtype
+        assert g.tobytes() == w.tobytes()
+    assert np.array_equal(got[0][at_floor], np.full(4, np.log(dtype(floor))))
+    assert (got[1][at_floor] == 0).all() and (got[1][~at_floor] != 0).all()
+
+
 def test_backward_accumulates_instead_of_overwriting():
     w = Tensor([[1.0, 0.0], [0.0, 1.0]])
     for _ in range(2):
@@ -106,12 +145,12 @@ def test_backward_folds_factored_and_row_gradients():
 
 
 def test_softmax_uniform():
-    p = nm.softmax(Tensor([1.0, 1.0, 1.0]))
+    p = composed.softmax(Tensor([1.0, 1.0, 1.0]))
     assert np.allclose(p.data, [1 / 3] * 3, atol=1e-6)
 
 
 def test_softmax_hand_example():
-    p = nm.softmax(Tensor([0.0, np.log(2.0)]))
+    p = composed.softmax(Tensor([0.0, np.log(2.0)]))
     assert np.allclose(p.data, [1 / 3, 2 / 3], atol=1e-6)
 
 
@@ -119,7 +158,7 @@ def test_softmax_sum_and_nonneg_randomized():
     rng = Rng(3)
     for _ in range(50):
         v = Tensor(rng.uniform(-30, 30, 17))
-        p = nm.softmax(v)
+        p = composed.softmax(v)
         assert abs(float(p.data.sum()) - 1.0) < 1e-6
         assert (p.data >= 0).all()
 
@@ -214,7 +253,7 @@ def test_finite_diff_nonfinite_errors():
     x = Tensor(0.0)
 
     def f():
-        return nm.log(x)
+        return composed.plain_log(x)
 
     with pytest.raises(ValueError):
         nm.finite_diff_check(f, [x])
@@ -228,8 +267,8 @@ def test_composed_graph_gradcheck():
         v = Tensor(rng.uniform(-1, 1, 5))
 
         def f():
-            p = nm.softmax(nm.tanh(nm.linear(x, w)))
-            return nm.sum_all(nm.matmul(nm.log(nm.clamp_min(p, 1e-12)), v))
+            p = composed.softmax(nm.tanh(nm.linear(x, w)))
+            return nm.sum_all(nm.matmul(nm.log(p, 1e-12), v))
 
         err = nm.finite_diff_check(f, [w, x, v], epsilon=1e-6)
     assert err < 1e-4
@@ -307,7 +346,7 @@ def test_row_ops_match_per_row_ops_and_fold_weight_factors():
         idx = [3, 4, 3, 6]
 
         def rows(r=slice(None)):
-            y = nm.softmax(nm.linear(nm.index(X, r), W, bias))
+            y = composed.softmax(nm.linear(nm.index(X, r), W, bias))
             return nm.output_dist(nm.concat([nm.index(X, r), v], axis=-1), W2, b2, 7,
                                   nm.index(gate, r), y, idx)
 
@@ -511,12 +550,13 @@ def _value_and_grads(op, args, probe):
 @pytest.mark.parametrize("coverage", [True, False], ids=["coverage", "no-coverage"])
 @pytest.mark.parametrize("k", [1, 3])
 def test_attention_scores_match_composed_chain_bitwise(k, coverage, dtype):
+    # the weights node against the scores chain and its softmax
     rng = Rng(10 * k + coverage)
     with nm.use_dtype(dtype):
         args = _attention_inputs(rng, k, coverage=coverage)
         probe = rng.uniform(-1, 1, (k, 5))
-        fused = _value_and_grads(nm.attention_scores, args, probe)
-        chain = _value_and_grads(composed.attention_scores, args, probe)
+        fused = _value_and_grads(nm.attention_weights, args, probe)
+        chain = _value_and_grads(composed.attention_weights, args, probe)
     assert len(fused) == len(chain) == (6 if coverage else 4)
     for got, want in zip(fused, chain):
         assert got.dtype == want.dtype == dtype
@@ -550,16 +590,19 @@ def test_output_dist_matches_composed_chain_bitwise(k, size, copy, dtype):
 @pytest.mark.parametrize("masked", [True, False], ids=["mask", "no-mask"])
 @pytest.mark.parametrize("coverage", [True, False], ids=["coverage", "no-coverage"])
 def test_attention_scores_gradients_match_finite_differences(coverage, masked):
+    # the weights node; masked, the scores chain with -1e30 added to the
+    # masked positions' scores, which then get no probability, through the
+    # softmax backward that the node runs
     rng = Rng(31 + coverage)
-    # masked positions get no probability: a caller adds -1e30 to their scores
-    offset = np.where([True, False, True, True, False], 0.0, -1e30) if masked else 0.0
+    offset = np.where([True, False, True, True, False], 0.0, -1e30)
     with nm.use_dtype(np.float64):
         args = _attention_inputs(rng, 2, coverage=coverage)
         probe = Tensor(rng.uniform(-1, 1, (2, 5)))
 
         def f():
-            scores = composed.add(nm.attention_scores(*args), offset)
-            return nm.sum_all(composed.mul(nm.softmax(scores), probe))
+            weights = (composed.softmax(composed.add(composed.attention_scores(*args), offset))
+                       if masked else nm.attention_weights(*args))
+            return nm.sum_all(composed.mul(weights, probe))
 
         err = nm.finite_diff_check(f, _leaves(args), epsilon=1e-6)
     assert err < 1e-6
@@ -574,8 +617,7 @@ def test_output_dist_gradients_match_finite_differences(copy):
         probe = Tensor(rng.uniform(-1, 1, (2, 9)))
 
         def f():
-            return nm.sum_all(nm.log(nm.clamp_min(composed.mul(nm.output_dist(*args),
-                                                               probe), 1e-12)))
+            return nm.sum_all(nm.log(composed.mul(nm.output_dist(*args), probe), 1e-12))
 
         # a probe of positive entries keeps the log away from its floor
         probe.data[...] = np.abs(probe.data) + 0.1
@@ -590,7 +632,7 @@ def test_fused_ops_reject_mismatched_shapes():
                 (query, keys, Tensor(np.zeros((2, 4))), w_cv, v),
                 (Tensor(np.zeros(4)), keys, None, w_cv, v)):
         with pytest.raises(nm.ShapeError):
-            nm.attention_scores(*bad)
+            nm.attention_weights(*bad)
     x, w, b, size, gate, attn, ext_ids = _output_inputs(rng, 2, 9)
     for bad in ((x, w, b, 5), (Tensor(np.zeros((2, 4))), w, b, 9),
                 (x, w, b, 9, Tensor(np.zeros(3)), attn, ext_ids),

@@ -78,9 +78,11 @@ def test_same_seed_training_is_bit_identical():
 
 @pytest.mark.parametrize("ablation", sorted(ABLATION_PRESETS))
 def test_training_with_reference_kernels_is_bit_identical(monkeypatch, ablation):
-    # the where-free sigmoid, the einsum outer product and adding each row
+    # the where-free sigmoid, the einsum outer product, adding each row
     # update as it arrives (the earlier walk held the updates at index arrays
-    # back until a per-tensor fold) change no trained byte
+    # back until a per-tensor fold) and the one-node attention weights,
+    # biased linear and floored log (the composed chains) change no trained
+    # byte
     hyper = small_hyper(ablation=ABLATION_PRESETS[ablation])
     vocab, examples = make_dataset(n_pairs=6, seed=2, title_lens=(3, 5))
     config = TrainConfig(lr=0.5, batch_size=3, epochs=2, seed=7)
@@ -90,6 +92,8 @@ def test_training_with_reference_kernels_is_bit_identical(monkeypatch, ablation)
             monkeypatch.setattr(nm, "_sigmoid", composed.sigmoid_kernel)
             monkeypatch.setattr(nm, "_outer_sum", composed.outer_sum_kernel)
             monkeypatch.setattr(Tensor, "backward", composed.backward)
+            for name in ("attention_weights", "linear", "log"):
+                monkeypatch.setattr(nm, name, getattr(composed, name))
         params, log = train(examples, examples[:2], hyper, config)
         runs.append(({k: t.data.tobytes() for k, t in params.items()},
                      [(e.train_loss, e.val_loss) for e in log]))

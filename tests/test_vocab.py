@@ -27,6 +27,12 @@ def test_build_vocab_max_size_lexicographic_tie():
     assert "b" not in vocab
 
 
+def test_build_vocab_max_size_below_the_specials_is_an_error():
+    assert len(build_vocab([["a", "b"]], min_freq=0, max_size=len(SPECIALS))) == len(SPECIALS)
+    with pytest.raises(ValueError, match="max_size"):
+        build_vocab([["a", "b"]], min_freq=0, max_size=len(SPECIALS) - 1)
+
+
 def test_build_vocab_empty_input():
     assert len(build_vocab([], min_freq=1)) == 4
 
