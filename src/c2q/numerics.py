@@ -337,30 +337,37 @@ def attention_weights(query, keys, cov, w_cv, v):
     scores e = tanh(keys + query + cov·w_cv)·v of query rows (k, a) against
     key rows (M, a), with coverage rows ``cov`` (k, M) scaling ``w_cv`` (a,)
     at each source position; ``cov=None`` drops that term. The node keeps
-    the (k, M, a) block once, as its tanh, beside the weights. Its backward
-    runs the expressions of the composed add / mul / tanh / matmul /
+    only the weights: its backward rebuilds the (k, M, a) tanh block from
+    the inputs with the forward's own expressions, one more add and tanh
+    per call instead of a block held per decoder step until backward. It
+    then runs the expressions of the composed add / mul / tanh / matmul /
     softmax chain in that chain's order, so every gradient is that chain's
     bit for bit."""
     query, keys, v = _wrap(query), _wrap(keys), _wrap(v)
     qd, kd, vd = query.data, keys.data, v.data
     if qd.ndim != 2 or kd.ndim != 2 or qd.shape[1] != kd.shape[1] or vd.shape != kd.shape[1:]:
         raise ShapeError(f"attention shapes query {qd.shape}, keys {kd.shape}, v {vd.shape}")
-    th = kd + qd[:, None]  # the pre-activation, then its tanh in place
     # parents in this order: backward's walk then reaches every tensor
     # above and below the node in the order it reached them in the chain
     parents = (keys, query, v)
     if cov is not None:
         cov, w_cv = _wrap(cov), _wrap(w_cv)
-        if cov.shape != th.shape[:2] or w_cv.shape != vd.shape:
+        if cov.shape != (len(qd), len(kd)) or w_cv.shape != vd.shape:
             raise ShapeError(f"attention coverage {cov.shape} and w_cv {w_cv.shape} "
-                             f"do not fit scores {th.shape[:2]}")
+                             f"do not fit scores {(len(qd), len(kd))}")
         ci = cov.data[..., None]
-        th += ci * w_cv.data
         parents = (keys, query, cov, w_cv, v)
-    np.tanh(th, out=th)
-    p = _softmax(th @ vd)
+
+    def tanh_block():
+        th = kd + qd[:, None]  # the pre-activation, then its tanh in place
+        if cov is not None:
+            th += ci * w_cv.data
+        return np.tanh(th, out=th)
+
+    p = _softmax(tanh_block() @ vd)
 
     def bw(g):
+        th = tanh_block()
         g = _softmax_back(p, g)
         dv = th.reshape(-1, vd.shape[0]).T @ g.reshape(-1)
         dpre = g[..., None] * vd * (1.0 - th * th)

@@ -20,14 +20,18 @@ from .numerics import Rng
 CHECKPOINT_MAGIC = b"C2Q1"
 CHECKPOINT_VERSION = 1
 
+# clip_global_norm squares this many gradient entries at a time in float64,
+# a 0.5 MB scratch rather than a float64 copy of each gradient
+NORM_CHUNK = 65536
+
 # shuffled examples are length-sorted inside windows this many batches wide,
 # so batches hold similar source lengths without destroying the shuffle
 LENGTH_SORT_WINDOW = 8
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, batch_ids):
-        super().__init__(f"non-finite loss on batch with example ids {batch_ids}")
+    def __init__(self, batch_ids, what="loss"):
+        super().__init__(f"non-finite {what} on batch with example ids {batch_ids}")
         self.batch_ids = batch_ids
 
 
@@ -75,18 +79,23 @@ class TrainLogEntry:
 
 
 def clip_global_norm(params, max_norm):
-    """Scale all gradients so their global L2 norm is at most max_norm; a
-    max_norm of 0 leaves them as they are. Returns the norm before."""
-    total = 0.0
-    for t in params.values():
-        if t.grad is not None:
-            total += float((t.grad.astype(np.float64) ** 2).sum())
+    """Scale all gradients in place so their global L2 norm is at most
+    max_norm; a max_norm of 0 or a norm that is not finite leaves them as
+    they are. Returns the norm before, summed in float64 over slices of
+    NORM_CHUNK entries."""
+    grads = [t.grad for t in params.values() if t.grad is not None]
+    scratch, total = np.empty(NORM_CHUNK), 0.0
+    for g in grads:
+        flat = g.reshape(-1)
+        for start in range(0, flat.size, NORM_CHUNK):
+            part = scratch[:min(NORM_CHUNK, flat.size - start)]
+            part[...] = flat[start:start + NORM_CHUNK]
+            total += float(part @ part)
     norm = total ** 0.5
-    if norm > max_norm > 0:
-        factor = max_norm / norm
-        for t in params.values():
-            if t.grad is not None:
-                t.grad *= factor
+    if 0 < max_norm < norm < math.inf:
+        factor = max_norm / norm  # reaches a float32 gradient as a float32
+        for g in grads:
+            g *= factor
     return norm
 
 
@@ -118,19 +127,25 @@ def mean_loss(examples, params, hyper, batch_size=32):
 
 def _sgd_step(batch, params, hyper, config):
     """One clipped SGD update from a batch; returns the batch loss. The
-    batch's graph is freed on return, before the next batch or validation
-    builds another."""
+    batch's graph is freed as soon as backward returns, before clipping,
+    and each gradient once it has updated its parameter, so no parameter
+    holds a gradient on return. A non-finite loss or gradient norm raises
+    TrainingDivergedError before any parameter changes."""
     nm.zero_grads(params.values())
     batch_loss = nm.scale(nm.add_n(_losses(batch, params, hyper)), 1.0 / len(batch))
     value = float(batch_loss.data)
     if not np.isfinite(value):
         raise TrainingDivergedError([ex.id for ex in batch])
     batch_loss.backward()
-    clip_global_norm(params, config.grad_clip_norm)
-    if config.lr:
-        for t in params.values():
-            if t.grad is not None:
-                t.data -= (config.lr * t.grad).astype(t.data.dtype)
+    del batch_loss
+    norm = clip_global_norm(params, config.grad_clip_norm)
+    if not math.isfinite(norm):
+        raise TrainingDivergedError([ex.id for ex in batch], "gradient norm")
+    for t in params.values():
+        g, t.grad = t.grad, None
+        if g is not None and config.lr:
+            g *= config.lr  # in place, as lr * g rounds it
+            t.data -= g
     return value
 
 

@@ -568,9 +568,10 @@ def _held_arrays(root):
 
 
 def test_training_graph_holds_one_attention_block_per_step_and_two_vocab_rows_per_title():
-    # the memory a training step keeps until backward: one (1, M, a) block
-    # per decoder step (the attention tanh) and at most two arrays as wide
-    # as the vocabulary per title (the softmax rows and the output rows)
+    # the memory a training step keeps until backward: no (1, M, a) block
+    # (the attention node rebuilds its tanh in backward) and at most two
+    # arrays as wide as the vocabulary per title (the softmax rows and the
+    # output rows)
     hyper = tiny_hyper(embed=4, hidden=3)
     vocab_size, src_len = 40, 7
     params = init_parameters(hyper, vocab_size, Rng(8))
@@ -582,7 +583,7 @@ def test_training_graph_holds_one_attention_block_per_step_and_two_vocab_rows_pe
     held = [a for a in _held_arrays(loss) if id(a) not in weights]
     blocks = [a for a in held if a.shape == (1, src_len, hyper.hidden)]
     vocab_wide = [a for a in held if a.ndim == 2 and a.shape[1] >= vocab_size]
-    assert len(blocks) == len(target)
+    assert blocks == []
     assert len(vocab_wide) <= 2
 
 

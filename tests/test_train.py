@@ -16,6 +16,7 @@ from c2q import decode as decode_module
 from c2q import files as files_module
 from c2q import model as model_module
 from c2q import numerics as nm
+from c2q import train as train_module
 from c2q.corpus import QCPair
 from c2q.model import (ABLATION_PRESETS, Hyperparams, encode_example, init_parameters,
                        sequence_loss)
@@ -141,6 +142,116 @@ def test_clip_noop_when_under_threshold():
     assert norm == pytest.approx(0.1)
     assert np.array_equal(params["a"].grad,
                           np.array([0.1, 0.0, 0.0], dtype=np.float32))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_clip_leaves_gradients_with_a_non_finite_norm_as_they_are(bad):
+    # scaling by 5 / inf = 0 would turn [inf, 1, 2] into [nan, 0, 0]
+    params = {"a": Tensor(np.zeros(3, dtype=np.float32))}
+    params["a"].grad = np.array([bad, 1.0, 2.0], dtype=np.float32)
+    assert not np.isfinite(clip_global_norm(params, 5.0))
+    assert np.array_equal(params["a"].grad, [bad, 1.0, 2.0], equal_nan=True)
+
+
+def _reference_norm(grads):
+    return float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads)))
+
+
+def test_clip_global_norm_makes_no_gradient_sized_copy():
+    grad = Rng(3).uniform(-1, 1, (5000, 768))
+    params = {"W_v": Tensor(np.zeros((1, 1), dtype=np.float32))}
+    params["W_v"].grad = grad
+    reference = _reference_norm([grad])
+    tracemalloc.start()
+    try:
+        norm = clip_global_norm(params, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert abs(norm - reference) <= 1e-12 * reference
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_clipped_gradients_equal_scaling_by_the_reference_norm(seed):
+    # the norm moves in its last float64 bits only, and the factor reaches
+    # the float32 gradients as a float32, so the clipped bits are those of
+    # scaling by the norm of a float64 copy of each gradient
+    rng = Rng(seed)
+    shapes = [(3, 7), (70_000,), (300, 257), (1,)]
+    grads = [rng.uniform(-1, 1, shape) * np.float32(10.0 ** rng.integers(-2, 3))
+             for shape in shapes]
+    params = {str(k): Tensor(np.zeros(1, dtype=np.float32)) for k in range(len(grads))}
+    for t, g in zip(params.values(), grads):
+        t.grad = g.copy()
+    reference = _reference_norm(grads)
+    assert clip_global_norm(params, 1.0) == pytest.approx(reference, rel=1e-12)
+    for t, g in zip(params.values(), grads):
+        g *= 1.0 / reference
+        assert np.array_equal(t.grad, g)
+
+
+def _memory_dataset():
+    # enough rows that a forward graph holds several MiB at small dims
+    alphabet = [f"tok{i}" for i in range(200)]
+    rng = Rng(4)
+    vocab = build_vocab([alphabet], min_freq=0)
+    pairs = [QCPair(id=i, lang="python",
+                    code_tokens=[alphabet[rng.integers(0, 200)] for _ in range(40)],
+                    title_tokens=[alphabet[rng.integers(0, 200)] for _ in range(6)])
+             for i in range(16)]
+    return vocab, [encode_example(p, vocab) for p in pairs]
+
+
+def test_training_frees_the_graph_before_clipping_and_every_gradient_after(monkeypatch):
+    vocab, examples = _memory_dataset()
+    hyper = small_hyper(embed_dim=32, hidden=64)
+    params = init_parameters(hyper, len(vocab), Rng(2))
+    at_step, excess = [], []
+
+    def step(*args):
+        at_step.append(tracemalloc.get_traced_memory()[0])
+        return sgd_step(*args)
+
+    def clip(params, max_norm):
+        grad_bytes = sum(t.grad.nbytes for t in params.values() if t.grad is not None)
+        excess.append(tracemalloc.get_traced_memory()[0] - at_step[-1] - grad_bytes)
+        return clip_norm(params, max_norm)
+
+    sgd_step, clip_norm = train_module._sgd_step, train_module.clip_global_norm
+    monkeypatch.setattr(train_module, "_sgd_step", step)
+    monkeypatch.setattr(train_module, "clip_global_norm", clip)
+    config = TrainConfig(lr=0.1, batch_size=8, epochs=2, seed=5)
+    tracemalloc.start()
+    try:
+        train(examples, examples[:4], hyper, config, params=params)
+    finally:
+        tracemalloc.stop()
+    assert len(excess) == 4
+    assert max(excess) <= 2 ** 20, excess
+    assert all(t.grad is None for t in params.values())
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("clip", [5.0, 0.0])
+def test_non_finite_gradient_norm_raises_before_any_parameter_changes(monkeypatch, bad, clip):
+    vocab, examples = make_dataset(n_pairs=3, seed=2)
+    hyper = small_hyper()
+    params = init_parameters(hyper, len(vocab), Rng(1))
+    before = {k: t.data.copy() for k, t in params.items()}
+    backward = Tensor.backward
+
+    def poisoned(self):
+        backward(self)
+        params["W_v"].grad[1, 2] = bad
+
+    monkeypatch.setattr(Tensor, "backward", poisoned)
+    config = TrainConfig(lr=0.1, batch_size=4, epochs=1, seed=0, grad_clip_norm=clip)
+    with pytest.raises(TrainingDivergedError, match="gradient norm") as info:
+        train(examples, examples, hyper, config, params=params)
+    assert sorted(info.value.batch_ids) == [0, 1, 2]
+    for name, t in params.items():
+        assert np.array_equal(t.data, before[name]), name
 
 
 def random_params(seed):
