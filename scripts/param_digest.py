@@ -3,10 +3,12 @@
 Trains a few clipped SGD steps for every ablation preset from fixed
 synthetic pairs, at toy dims (16/16, a 40-token vocabulary) and at the
 paper's dims (300/256, a 5,000-token vocabulary, 32 pairs with 64-token
-sources and 8-10-token titles), and prints ``dims ablation sha256`` per
-line. Every source holds tokens outside the vocabulary, so the copy path
-runs. Running it on two checkouts shows whether a change moves any trained
-bit. It is a measuring tool, not a test.
+sources and 8-10-token titles), and prints ``dims ablation sha256 loss``
+per line, where loss is the last step's training loss in full ``repr``.
+Every source holds tokens outside the vocabulary, so the copy path runs.
+Running it on two checkouts shows whether a change moves any trained bit,
+and whether it moves a loss value's rounding. It is a measuring tool, not
+a test.
 
     PYTHONPATH=src python scripts/param_digest.py [--steps 2] [--dims toy paper]
 """
@@ -65,8 +67,8 @@ def main(argv=None):
         for name in sorted(ABLATION_PRESETS):
             hyper = Hyperparams(embed_dim=embed, hidden=hidden,
                                 ablation=ABLATION_PRESETS[name])
-            params, _ = train(data, [], hyper, config)
-            print(dims, name, digest(params), flush=True)
+            params, log = train(data, [], hyper, config)
+            print(dims, name, digest(params), repr(log[-1].train_loss), flush=True)
 
 
 if __name__ == "__main__":

@@ -117,6 +117,7 @@ def main(argv=None):
         def wrapper(*a, **kw):
             out = fn(*a, **kw)
             if name == "forward":
+                out = list(out)  # _losses builds each title's graph as it is read
                 graph["held"], graph["nodes"] = graph_bytes(out, params)
             phase(name)
             return out

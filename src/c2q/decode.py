@@ -18,7 +18,7 @@ class Hypothesis:
     token_ids: list            # extended ids emitted so far (no START)
     logprob: float
     state: object              # decoder (hidden, cell) rows
-    cov: object                # coverage row or None
+    cov: object                # coverage row; None without coverage
     finished: bool = False
     attn: list = field(default_factory=list)  # one np array per emitted token
 
@@ -38,14 +38,14 @@ def _model_stepper(code_tokens, params, vocab, hyper):
     base_ids, ext_ids, ev = encode_source(code_tokens, vocab)
     enc = encode(base_ids, params, hyper)
     vocab_size = len(vocab)
-    cov0 = np.zeros(len(base_ids)) if hyper.attention else None
+    cov0 = np.zeros(len(base_ids)) if hyper.coverage else None
 
     def stepper(prev_ext_ids, states, covs):
         prev = np.array(prev_ext_ids)
         prev[prev >= vocab_size] = UNK  # extended outputs are fed back as UNK
         # the parents' rows as fresh leaves, so no graph outlives a step
         state = tuple(Tensor(np.array(part)) for part in zip(*states))
-        cov = Tensor(np.array(covs)) if hyper.attention else None
+        cov = Tensor(np.array(covs)) if hyper.coverage else None
         step = decode_step(prev, state, enc, cov, ext_ids, ev, params, hyper)
         logp = np.log(np.maximum(step.p_star.data.astype(np.float64), LOGPROB_FLOOR))
         none = [None] * len(prev)

@@ -225,14 +225,15 @@ def attention_step(s_t, H, keys, cov, params):
 
 def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, output=True):
     """One decoder timestep of k rows: k base-vocab ids with (k, h) state
-    rows and (k, M) coverage rows, all stepped at once. A previous output
-    from the extended vocabulary must come in as UNK: the callers map it
+    rows and (k, M) coverage rows (None without coverage: only coverage
+    models carry them), all stepped at once. A previous output from the
+    extended vocabulary must come in as UNK: the callers map it
     (``sequence_loss`` and the decoder's stepper), and an id >= V raises
-    IndexError. One id with (h,) state and (M,) coverage
-    is stepped as a row of one, and the step comes back without the row
-    axis. With ``output=False`` the step leaves out the output distribution
-    (``p_cg`` and ``p_star`` are None): ``sequence_loss`` projects all of a
-    title's steps at once instead."""
+    IndexError. One id with (h,) state and (M,) coverage is stepped as a
+    row of one, and the step comes back without the row axis. With
+    ``output=False`` the step leaves out the output distribution (``p_cg``
+    and ``p_star`` are None): ``sequence_loss`` projects all of a title's
+    steps at once instead."""
     if np.ndim(y_prev_id):
         return _step_rows(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, output)
     step = _step_rows([y_prev_id], tuple(nm.index(s, None) for s in state), enc,
@@ -293,10 +294,10 @@ def sequence_loss(example, params, hyper, enc=None):
     """Teacher-forced loss for one encoded pair.
 
     Returns (loss Tensor, per-token log-probabilities as floats). The loss
-    is mean negative log-likelihood of the extended distribution plus
-    lambda_cov times the mean per-step coverage penalty
-    sum_i min(a_i, cov_i). ``enc`` is the pair's EncoderOutput when the
-    caller has encoded a batch (``encode_batch``); None encodes it alone.
+    is mean negative log-likelihood of the extended distribution plus, in a
+    coverage model (the only kind that carries coverage), lambda_cov / T
+    times sum_t sum_i min(a_t,i, cov_t,i), one term per title. ``enc`` is
+    the pair's EncoderOutput from ``encode_batch``; None encodes it alone.
     The decoder steps a row of one per target token; the output
     distributions of all steps come from one projection.
     """
@@ -312,30 +313,29 @@ def sequence_loss(example, params, hyper, enc=None):
     if enc is None:
         enc = encode(example.base_ids, params, hyper)
     state = tuple(nm.index(s, None) for s in enc.s0)
-    cov = Tensor(np.zeros((1, len(example.base_ids)))) if hyper.attention else None
+    cov = Tensor(np.zeros((1, len(example.base_ids)))) if hyper.coverage else None
     feed = [START] + [_to_base(y, vocab_size) for y in target[:-1]]
 
-    hs, ctxs, attns, cov_terms = [], [], [], []
+    hs, ctxs, attns, covs = [], [], [], []
     for y_prev in feed:
         step = decode_step([y_prev], state, enc, cov, example.ext_ids,
                            example.ev, params, hyper, output=False)
         hs.append(step.state[0])
         ctxs.append(step.context)
         attns.append(step.a)
-        if hyper.coverage:
-            cov_terms.append(nm.sum_all(nm.minimum(step.a, step.cov)))
-        state = step.state
-        cov = step.cov_next
+        covs.append(step.cov)
+        state, cov = step.state, step.cov_next
 
     t_len = len(target)
     _, p_star = _output_dist(nm.concat(hs), nm.concat(ctxs) if hyper.attention else enc.summary,
-                             nm.index(params["E"], feed),
+                             nm.index(params["E"], feed) if hyper.copy else None,
                              nm.concat(attns) if hyper.copy else None,
                              example.ext_ids, ext_size, params, hyper)
     logp = nm.log(nm.index(p_star, (np.arange(t_len), target)), LOGPROB_FLOOR)
     loss = nm.scale(nm.sum_all(logp), -1.0 / t_len)
-    if cov_terms and hyper.lambda_cov > 0:
-        loss = nm.add_n([loss, nm.scale(nm.add_n(cov_terms), hyper.lambda_cov / t_len)])
+    if hyper.coverage and hyper.lambda_cov > 0:
+        penalty = nm.sum_all(nm.minimum(nm.concat(attns), nm.concat(covs)))
+        loss = nm.add_n([loss, nm.scale(penalty, hyper.lambda_cov / t_len)])
     return loss, logp.data.tolist()
 
 

@@ -67,6 +67,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and >= 0, not {value!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 @dataclass
@@ -111,9 +113,9 @@ def _batches(examples, order, batch_size):
 
 
 def _losses(batch, params, hyper):
-    """Loss tensors of a batch of examples, encoded together."""
+    """Loss tensors of a batch encoded together, each built as it is read."""
     encs = encode_batch([ex.base_ids for ex in batch], params, hyper)
-    return [sequence_loss(ex, params, hyper, enc=enc)[0] for ex, enc in zip(batch, encs)]
+    return (sequence_loss(ex, params, hyper, enc=enc)[0] for ex, enc in zip(batch, encs))
 
 
 def mean_loss(examples, params, hyper, batch_size=32):

@@ -535,6 +535,9 @@ def test_config_validation():
         TrainConfig(lr=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=bad)
     for bad in (-1.0, -1e-9, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="grad_clip_norm"):
             TrainConfig(grad_clip_norm=bad)
@@ -569,19 +572,34 @@ def decode_step_calls(monkeypatch):
     return calls
 
 
-def test_decode_step_runs_once_per_target_token_and_per_decode_step(decode_step_calls):
+@pytest.mark.parametrize("ablation", sorted(ABLATION_PRESETS))
+def test_decode_step_runs_once_per_target_token_and_per_decode_step(
+        decode_step_calls, monkeypatch, ablation):
     # one epoch with a validation set: one call per target token (title +
     # END) over train plus val, whatever the batching; a greedy decode: one
-    # call per step; the one-id form: one call, not one per row it lifts
+    # call per step; the one-id form: one call, not one per row it lifts.
+    # Only a coverage model carries a coverage vector, and it charges the
+    # penalty as one minimum per title, not one per target token.
+    def record(module, name):
+        calls, original = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or original(*a, **kw))
+        return calls
+
+    penalties, titles = record(nm, "minimum"), record(train_module, "sequence_loss")
     vocab, examples = make_dataset(n_pairs=7, seed=9, title_lens=(1, 3, 2, 4))
-    hyper = small_hyper()
+    hyper = small_hyper(ablation=ABLATION_PRESETS[ablation])
     train(examples[:5], examples[5:], hyper, TrainConfig(lr=0.1, batch_size=2, epochs=1, seed=2))
     assert len(decode_step_calls) == sum(len(ex.target_ids) for ex in examples)
+    assert len(titles) == len(examples)
+    assert len(penalties) == (len(titles) if hyper.coverage else 0)
 
     params = init_parameters(hyper, len(vocab), Rng(4))
+    train_calls = list(decode_step_calls)
     decode_step_calls.clear()
     best = decode_module.beam_search(["tok1", "tok2"], params, vocab, hyper, k=1)[0]
     assert len(decode_step_calls) == len(best.token_ids)
+    for args in train_calls + decode_step_calls:
+        assert (args[3] is not None) == hyper.coverage
 
     base_ids, ext_ids, ev = encode_source(["tok1", "tok2"], vocab)
     enc = model_module.encode(base_ids, params, hyper)
