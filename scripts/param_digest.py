@@ -5,6 +5,8 @@ synthetic pairs, at toy dims (16/16, a 40-token vocabulary) and at the
 paper's dims (300/256, a 5,000-token vocabulary, 32 pairs with 64-token
 sources and 8-10-token titles), and prints ``dims ablation sha256 loss``
 per line, where loss is the last step's training loss in full ``repr``.
+The digest is of the parameters as reloaded from the checkpoint ``train``
+writes to a temporary file, so it also covers the checkpoint's round trip.
 Every source holds tokens outside the vocabulary, so the copy path runs.
 Running it on two checkouts shows whether a change moves any trained bit,
 and whether it moves a loss value's rounding. It is a measuring tool, not
@@ -15,11 +17,13 @@ a test.
 
 import argparse
 import hashlib
+import os
+import tempfile
 
 from c2q.corpus import QCPair
 from c2q.model import ABLATION_PRESETS, Hyperparams, encode_example
 from c2q.numerics import Rng
-from c2q.train import TrainConfig, train
+from c2q.train import TrainConfig, load_checkpoint, train
 from c2q.vocab import build_vocab
 
 # name -> (embed, hidden, vocabulary size with the 4 specials, pairs, source
@@ -59,16 +63,21 @@ def main(argv=None):
     ap.add_argument("--steps", type=int, default=2, help="SGD steps per ablation")
     ap.add_argument("--dims", nargs="+", choices=sorted(DIMS), default=["toy", "paper"])
     args = ap.parse_args(argv)
-    for dims in args.dims:
-        embed, hidden, vocab_size, n_pairs, src_len, title_lens = DIMS[dims]
-        data = examples(vocab_size, n_pairs, src_len, title_lens)
-        # one batch per epoch, so each epoch is one step
-        config = TrainConfig(lr=0.5, batch_size=n_pairs, epochs=args.steps, seed=7)
-        for name in sorted(ABLATION_PRESETS):
-            hyper = Hyperparams(embed_dim=embed, hidden=hidden,
-                                ablation=ABLATION_PRESETS[name])
-            params, log = train(data, [], hyper, config)
-            print(dims, name, digest(params), repr(log[-1].train_loss), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = os.path.join(tmp, "model.ckpt")
+        for dims in args.dims:
+            embed, hidden, vocab_size, n_pairs, src_len, title_lens = DIMS[dims]
+            data = examples(vocab_size, n_pairs, src_len, title_lens)
+            # one batch per epoch, so each epoch is one step; with no
+            # validation set the last step's parameters are written
+            config = TrainConfig(lr=0.5, batch_size=n_pairs, epochs=args.steps, seed=7,
+                                 checkpoint_path=checkpoint)
+            for name in sorted(ABLATION_PRESETS):
+                hyper = Hyperparams(embed_dim=embed, hidden=hidden,
+                                    ablation=ABLATION_PRESETS[name])
+                _, log = train(data, [], hyper, config)
+                params = load_checkpoint(checkpoint)[0]
+                print(dims, name, digest(params), repr(log[-1].train_loss), flush=True)
 
 
 if __name__ == "__main__":

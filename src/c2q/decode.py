@@ -53,16 +53,7 @@ def _model_stepper(code_tokens, params, vocab, hyper):
                 none if cov is None else list(step.cov_next.data),
                 none if step.a is None else list(step.a.data))
 
-    stepper.rows = True
     return stepper, tuple(t.data for t in enc.s0), cov0, ev
-
-
-def _by_row(stepper):
-    """A row stepper from one that steps a single hypothesis per call."""
-    def step_rows(prevs, states, covs):
-        logps, states, covs, attns = zip(*map(stepper, prevs, states, covs))
-        return np.stack(logps), states, covs, attns
-    return step_rows
 
 
 def _top_k(logp, k):
@@ -83,12 +74,9 @@ def _rank_key(hyp):
 
 
 def _beam(stepper, start_state, start_cov, k, max_len):
-    """Beam search from one start state. A row stepper (``stepper.rows``
-    true) maps the live hypotheses' previous ids, states and coverages, as
-    lists, to (logp rows, states, coverages, attention rows) in one call;
-    any other stepper maps one hypothesis per call."""
-    if not getattr(stepper, "rows", False):
-        stepper = _by_row(stepper)
+    """Beam search from one start state. The stepper maps the live
+    hypotheses' previous ids, states and coverages, as lists, to (logp rows,
+    states, coverages, attention rows) in one call."""
     live = [Hypothesis([], 0.0, start_state, start_cov)]
     completed = []
     for _ in range(max_len):

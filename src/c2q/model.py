@@ -327,14 +327,16 @@ def sequence_loss(example, params, hyper, enc=None):
         state, cov = step.state, step.cov_next
 
     t_len = len(target)
+    penalize = hyper.coverage and hyper.lambda_cov > 0
+    # one (T, M) attention stack, shared by the copy mix and the penalty
+    attn = nm.concat(attns) if hyper.copy or penalize else None
     _, p_star = _output_dist(nm.concat(hs), nm.concat(ctxs) if hyper.attention else enc.summary,
-                             nm.index(params["E"], feed) if hyper.copy else None,
-                             nm.concat(attns) if hyper.copy else None,
+                             nm.index(params["E"], feed) if hyper.copy else None, attn,
                              example.ext_ids, ext_size, params, hyper)
     logp = nm.log(nm.index(p_star, (np.arange(t_len), target)), LOGPROB_FLOOR)
     loss = nm.scale(nm.sum_all(logp), -1.0 / t_len)
-    if hyper.coverage and hyper.lambda_cov > 0:
-        penalty = nm.sum_all(nm.minimum(nm.concat(attns), nm.concat(covs)))
+    if penalize:
+        penalty = nm.sum_all(nm.minimum(attn, nm.concat(covs)))
         loss = nm.add_n([loss, nm.scale(penalty, hyper.lambda_cov / t_len)])
     return loss, logp.data.tolist()
 

@@ -16,9 +16,10 @@ from . import numerics as nm
 from .files import replace_atomically
 from .model import Hyperparams, encode_batch, init_parameters, parameter_shapes, sequence_loss
 from .numerics import Rng
+from .vocab import SPECIALS
 
 CHECKPOINT_MAGIC = b"C2Q1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # clip_global_norm squares this many gradient entries at a time in float64,
 # a 0.5 MB scratch rather than a float64 copy of each gradient
@@ -36,18 +37,6 @@ class TrainingDivergedError(RuntimeError):
 
 
 class CheckpointError(RuntimeError):
-    pass
-
-
-class CheckpointFormatError(CheckpointError):
-    pass
-
-
-class CheckpointTruncatedError(CheckpointError):
-    pass
-
-
-class CheckpointHashError(CheckpointError):
     pass
 
 
@@ -199,78 +188,70 @@ def train(train_examples, val_examples, hyper, config, vocab_hash="",
 # checkpoints
 #
 # layout: magic "C2Q1" | version u32 LE | header length u32 LE |
-#         UTF-8 JSON header | raw little-endian f32 tensor data in
-#         manifest order (offsets relative to the data section)
+#         UTF-8 JSON header {hyperparams, vocab_size, vocab_hash} |
+#         raw little-endian f32 tensors in parameter_shapes order
 
 
 def save_checkpoint(params, hyper, vocab_hash, path):
-    manifest, arrays, offset = [], [], 0
-    for name, tensor in params.items():
-        arrays.append(np.ascontiguousarray(tensor.data, dtype="<f4"))
-        manifest.append({"name": name, "shape": list(tensor.data.shape),
-                         "offset": offset})
-        offset += arrays[-1].nbytes
+    vocab_size = params["E"].data.shape[0]
+    shapes = parameter_shapes(hyper, vocab_size)
+    if {name: t.data.shape for name, t in params.items()} != shapes:
+        raise ValueError("save_checkpoint: parameters do not match the hyperparams")
     header = json.dumps({"hyperparams": asdict(hyper) | {"ablation": sorted(hyper.ablation)},
-                         "vocab_hash": vocab_hash,
-                         "init": "uniform(-0.1,0.1) weights, zero biases",
-                         "manifest": manifest}).encode("utf-8")
+                         "vocab_size": vocab_size,
+                         "vocab_hash": vocab_hash}).encode("utf-8")
     with replace_atomically(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header))
                  + header)
-        for data in arrays:
-            fh.write(data)
+        for name in shapes:
+            fh.write(np.ascontiguousarray(params[name].data, dtype="<f4"))
 
 
 def load_checkpoint(path, expected_vocab_hash=None):
-    """(name -> Tensor, Hyperparams, vocab_hash); verifies format and hash. Each
-    tensor is read straight into its own array, so a load holds the file's
-    tensors once."""
+    """(name -> Tensor, Hyperparams, vocab_hash); verifies format and hash.
+    Every name and shape comes from ``parameter_shapes``. Each tensor is read
+    straight into its own array, so a load holds the file's tensors once."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         preamble = fh.read(12)
         if len(preamble) < 12:
-            raise CheckpointTruncatedError(f"{path}: file too short")
+            raise CheckpointError(f"{path}: file too short")
         if preamble[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"{path}: bad magic {preamble[:4]!r}")
+            raise CheckpointError(f"{path}: bad magic {preamble[:4]!r}")
         version, header_len = struct.unpack("<II", preamble[4:])
         if version != CHECKPOINT_VERSION:
-            raise CheckpointFormatError(f"{path}: unsupported version {version}")
+            raise CheckpointError(f"{path}: unsupported version {version}")
         if size < 12 + header_len:
-            raise CheckpointTruncatedError(f"{path}: truncated header")
+            raise CheckpointError(f"{path}: truncated header")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise CheckpointFormatError(f"{path}: bad header: {exc}") from exc
-        hyper, vocab_hash, manifest = _check_header(header, path)
+            raise CheckpointError(f"{path}: bad header: {exc}") from exc
+        hyper, vocab_size, vocab_hash = _check_header(header, path)
         if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
-            raise CheckpointHashError(
-                f"{path}: checkpoint built against a different vocabulary")
+            raise CheckpointError(f"{path}: checkpoint built against a different vocabulary")
+        shapes = parameter_shapes(hyper, vocab_size)
+        # sized in Python ints before allocating, so a forged size can neither
+        # wrap nor ask for more memory than the file holds
         data_len = size - 12 - header_len
-        tensors, offset = {}, 0
-        for entry in manifest:
-            if entry["offset"] != offset:
-                raise CheckpointFormatError(f"{path}: tensor {entry['name']} is not "
-                                            f"at offset {offset}")
-            # sized from the file before allocating, so a forged shape cannot
-            # ask for more memory than the file holds
-            end = offset + 4 * int(np.prod(entry["shape"]))
-            arr = np.empty(entry["shape"], dtype="<f4") if end <= data_len else None
-            if arr is None or fh.readinto(arr) != arr.nbytes:
-                raise CheckpointTruncatedError(f"{path}: truncated tensor {entry['name']}")
+        need = 4 * sum(map(math.prod, shapes.values()))
+        if data_len != need:
+            raise CheckpointError(f"{path}: {data_len} data bytes, the header needs {need}")
+        tensors = {}
+        for name, shape in shapes.items():
+            arr = np.empty(shape, dtype="<f4")
+            if fh.readinto(arr) != arr.nbytes:  # the file shrank while loading
+                raise CheckpointError(f"{path}: truncated tensor {name}")
             if not np.isfinite(arr).all():
-                raise CheckpointFormatError(f"{path}: tensor {entry['name']} holds NaN or inf")
-            tensors[entry["name"]] = nm.Tensor(arr)
-            offset = end
-    if offset != data_len:
-        raise CheckpointFormatError(f"{path}: {data_len - offset} trailing bytes")
+                raise CheckpointError(f"{path}: tensor {name} holds NaN or inf")
+            tensors[name] = nm.Tensor(arr)
     return tensors, hyper, vocab_hash
 
 
 def _check_header(header, path):
-    """(Hyperparams, vocab hash, manifest) of a header whose manifest lists
-    exactly the tensors init_parameters builds for its hyperparams."""
+    """(Hyperparams, vocab size, vocab hash) of a checkpoint header."""
     def bad(what):
-        return CheckpointFormatError(f"{path}: bad header: {what}")
+        return CheckpointError(f"{path}: bad header: {what}")
 
     if not isinstance(header, dict):
         raise bad("not a JSON object")
@@ -282,21 +263,9 @@ def _check_header(header, path):
     if not all(type(getattr(hyper, key)) is int
                for key in ("embed_dim", "hidden", "max_decode_len")):
         raise bad("hyperparams: dimensions must be integers")
-    vocab_hash, manifest = header.get("vocab_hash"), header.get("manifest")
+    vocab_size, vocab_hash = header.get("vocab_size"), header.get("vocab_hash")
+    if type(vocab_size) is not int or vocab_size < len(SPECIALS):
+        raise bad(f"vocab_size must be an integer >= {len(SPECIALS)}")
     if not isinstance(vocab_hash, str):
         raise bad("vocab_hash missing or not a string")
-
-    def well_formed(entry):
-        return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(type(n) is int and n >= 0 for n in entry["shape"])
-                and type(entry.get("offset")) is int)
-
-    if not isinstance(manifest, list) or not all(map(well_formed, manifest)):
-        raise bad("manifest must list objects with a name, a shape and an offset")
-    entries = [(e["name"], tuple(e["shape"])) for e in manifest]
-    embedding = dict(entries).get("E")
-    vocab_size = embedding[0] if embedding else 0
-    if entries != list(parameter_shapes(hyper, vocab_size).items()):
-        raise bad("manifest names or shapes do not match the hyperparams")
-    return hyper, vocab_hash, manifest
+    return hyper, vocab_size, vocab_hash

@@ -78,6 +78,10 @@ class Vocabulary:
             raise VocabFormatError(f"bad vocab header count: {header!r}") from exc
         if len(tokens) != count:
             raise VocabFormatError(f"vocab file lists {len(tokens)} tokens, header says {count}")
+        for lineno, token in enumerate(tokens, 2):
+            if token.split() != [token]:  # as the pair readers require
+                raise VocabFormatError(f"{path}:{lineno}: token {token!r} is empty or holds "
+                                       "whitespace")
         return cls(list(SPECIALS) + tokens)
 
 

@@ -389,21 +389,21 @@ def test_criterion_7_clone_detection():
 
 
 class _TableStepper:
-    """Stepper reading next-token distributions from a history table."""
+    """Row stepper reading next-token distributions from a history table;
+    each hypothesis' state is its history of emitted ids."""
 
     def __init__(self, table, vocab_size):
         self.table = table
         self.vocab_size = vocab_size
 
-    def __call__(self, prev, state, cov):
-        history = state or ()
-        if prev != 2:  # START
-            history = history + (prev,)
-        dist = self.table[history]
-        logp = np.full(self.vocab_size, math.log(1e-12))
-        for tid, prob in dist.items():
-            logp[tid] = math.log(prob)
-        return logp, history, cov, None
+    def __call__(self, prevs, states, covs):
+        histories = [(state or ()) + ((prev,) if prev != 2 else ())  # 2 is START
+                     for prev, state in zip(prevs, states)]
+        logp = np.full((len(histories), self.vocab_size), math.log(1e-12))
+        for row, history in enumerate(histories):
+            for tid, prob in self.table[history].items():
+                logp[row, tid] = math.log(prob)
+        return logp, histories, covs, [None] * len(histories)
 
 
 def test_criterion_8_beam_correctness():

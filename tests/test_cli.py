@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from c2q import cli, corpus, retrieval
 from c2q.cli import run
-from c2q.train import load_checkpoint, save_checkpoint
+from c2q.train import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 from c2q.vocab import SPECIALS, Vocabulary
 
 TINY = ["--embed-dim", "8", "--hidden", "8", "--max-len", "8"]
@@ -575,6 +575,21 @@ def test_vocab_bytes_that_are_not_utf8_name_their_file_and_line(workdir, capsys,
     assert f"{vocab}:3:" in out.err
 
 
+@pytest.mark.parametrize("token", ["", "bar baz"], ids=["empty", "space"])
+def test_vocab_bad_token_line_names_its_file_and_line(workdir, capsys, tmp_path, token):
+    lines = open(workdir["vocab"], encoding="utf-8").read().split("\n")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(lines[:2] + [token] + lines[3:]), encoding="utf-8")
+    snippets = tmp_path / "s.jsonl"
+    snippets.write_text('{"code": "x = 1"}\n')
+    assert run(["generate", "--checkpoint", workdir["ckpt"], "--vocab", str(vocab),
+                "--input", str(snippets), "--greedy"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(_error_lines(out.err)) == 1 and out.err.startswith("error kind=data")
+    assert f"{vocab}:3:" in out.err
+
+
 def test_pair_lang_must_be_a_string(workdir, capsys, tmp_path):
     record = VALID_RECORDS["pairs"]
     pairs = tmp_path / "pairs.jsonl"
@@ -612,7 +627,7 @@ def test_pair_without_code_tokens_is_data_error(workdir, capsys, tmp_path):
 def test_deeply_nested_checkpoint_header_is_data_error(workdir, capsys, tmp_path):
     header = NESTED.encode()
     ckpt = tmp_path / "nested.ckpt"
-    ckpt.write_bytes(b"C2Q1" + struct.pack("<II", 1, len(header)) + header)
+    ckpt.write_bytes(b"C2Q1" + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header)
     snippets = tmp_path / "s.jsonl"
     snippets.write_text('{"code": "x = 1"}\n')
     assert run(["generate", "--checkpoint", str(ckpt), "--vocab", workdir["vocab"],
@@ -809,8 +824,9 @@ def test_vocab_and_config_files_exit_cleanly_on_arbitrary_input(workdir, fuzzdir
 
 # Checkpoint fuzzing: the fixture's checkpoint cut short, with one byte
 # flipped anywhere (preamble, header or tensor data), or with one header
-# field replaced by an arbitrary JSON value or deleted (the header length
-# rewritten to match), fed to every command that loads a checkpoint.
+# field (hyperparams, vocab_size, vocab_hash or one hyperparam) replaced by
+# an arbitrary JSON value or deleted (the header length rewritten to match),
+# fed to every command that loads a checkpoint.
 def _rewrite_header(raw, edit):
     """Checkpoint bytes ``raw`` with the header JSON passed through ``edit``
     and the header length rewritten to match."""
@@ -831,10 +847,7 @@ def _damaged_checkpoint(data, raw):
 
     def edit(header):
         paths = ([[key] for key in header]
-                 + [["hyperparams", key] for key in header["hyperparams"]]
-                 + [["manifest", i] for i in range(len(header["manifest"]))]
-                 + [["manifest", i, key] for i, entry in enumerate(header["manifest"])
-                    for key in entry])
+                 + [["hyperparams", key] for key in header["hyperparams"]])
         *parents, key = data.draw(st.sampled_from(paths))
         node = header
         for step in parents:
@@ -857,6 +870,19 @@ def test_checkpoint_asking_for_an_endless_decode_is_data_error(workdir, capsys, 
                 "--test-pairs", workdir["test"], "--greedy"]) == 2
     err = capsys.readouterr().err
     assert len(_error_lines(err)) == 1 and "max_decode_len" in err
+
+
+def test_version_1_checkpoint_is_data_error(workdir, capsys, tmp_path):
+    # format 1 also listed every tensor's name, shape and offset; it is not read
+    with open(workdir["ckpt"], "rb") as fh:
+        raw = fh.read()
+    ckpt = tmp_path / "v1.ckpt"
+    ckpt.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    assert run(["evaluate", "--checkpoint", str(ckpt), "--vocab", workdir["vocab"],
+                "--test-pairs", workdir["test"], "--greedy"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(_error_lines(out.err)) == 1
+    assert out.err.startswith("error kind=data") and "unsupported version 1" in out.err
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,14 +35,11 @@ def forced_stepper(sequence, vocab_size):
             logp[row, sequence[step_index] if step_index < len(sequence) else END] = 0.0
         return logp, [s + 1 for s in states], covs, [None] * len(states)
 
-    stepper.rows = True
     return stepper
 
 
 class HistoryStepper:
     """Row stepper whose state is the emitted-token history tuple."""
-
-    rows = True
 
     def __init__(self, table, vocab_size):
         self.table = table
@@ -107,7 +104,6 @@ def test_greedy_returns_one_attention_record_per_token(monkeypatch):
         def stepper(prevs, states, covs):
             logp, next_states, covs, _ = forced(prevs, states, covs)
             return logp, next_states, covs, [np.eye(len(code_tokens))[s] for s in states]
-        stepper.rows = True
         return stepper, 0, None, encode_source(code_tokens, vocab)[2]
 
     monkeypatch.setattr(decode, "_model_stepper", model_stepper)
@@ -291,8 +287,6 @@ class _PrefixStepper:
     """Row stepper with history states; each row's log-probabilities are a
     fixed pseudo-random function of its history, and its attention row
     spells the history out (padded with -1)."""
-
-    rows = True
 
     def __init__(self, vocab_size, width):
         self.vocab_size, self.width = vocab_size, width

@@ -21,10 +21,9 @@ from c2q.corpus import QCPair
 from c2q.model import (ABLATION_PRESETS, Hyperparams, encode_example, init_parameters,
                        sequence_loss)
 from c2q.numerics import Rng, Tensor
-from c2q.train import (CHECKPOINT_MAGIC, CheckpointError, CheckpointFormatError,
-                       CheckpointHashError, CheckpointTruncatedError,
-                       TrainConfig, TrainingDivergedError, clip_global_norm,
-                       load_checkpoint, mean_loss, save_checkpoint, train)
+from c2q.train import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError, TrainConfig,
+                       TrainingDivergedError, clip_global_norm, load_checkpoint, mean_loss,
+                       save_checkpoint, train)
 from c2q.vocab import START, build_vocab, encode_source
 
 
@@ -273,6 +272,32 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, seed):
         assert np.array_equal(loaded[name].data, params[name].data), name
 
 
+@pytest.mark.parametrize("ablation", sorted(ABLATION_PRESETS))
+def test_checkpoint_header_and_roundtrip_per_ablation(tmp_path, ablation):
+    hyper = small_hyper(ablation=ABLATION_PRESETS[ablation])
+    params = init_parameters(hyper, 24, Rng(3))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, hyper, "h", str(path))
+    raw = path.read_bytes()
+    header_len = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12:12 + header_len])
+    assert sorted(header) == ["hyperparams", "vocab_hash", "vocab_size"]
+    assert header["vocab_size"] == 24
+    loaded, loaded_hyper, _ = load_checkpoint(str(path), "h")
+    assert loaded_hyper == hyper
+    assert list(loaded) == list(params)
+    for name in params:
+        assert loaded[name].data.tobytes() == params[name].data.tobytes(), name
+
+
+def test_checkpoint_save_rejects_parameters_of_another_layout(tmp_path):
+    hyper, params = random_params(0)
+    del params["W_b"]
+    with pytest.raises(ValueError, match="do not match"):
+        save_checkpoint(params, hyper, "h", str(tmp_path / "model.ckpt"))
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_checkpoint_load_holds_the_file_about_once(tmp_path):
     hyper = small_hyper(embed_dim=32, hidden=64)
     path = tmp_path / "model.ckpt"
@@ -327,7 +352,7 @@ def test_failed_checkpoint_save_keeps_earlier_file(tmp_path, monkeypatch):
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(b"XXXX" + struct.pack("<I", 1) + struct.pack("<I", 0))
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointError, match="bad magic"):
         load_checkpoint(str(path))
 
 
@@ -335,7 +360,7 @@ def test_checkpoint_bad_version(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 99)
                      + struct.pack("<I", 0))
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointError, match="unsupported version 99"):
         load_checkpoint(str(path))
 
 
@@ -343,7 +368,7 @@ def test_checkpoint_vocab_hash_mismatch(tmp_path):
     hyper, params = random_params(3)
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(params, hyper, "hashA", path)
-    with pytest.raises(CheckpointHashError):
+    with pytest.raises(CheckpointError, match="different vocabulary"):
         load_checkpoint(path, "hashB")
 
 
@@ -354,7 +379,8 @@ def test_checkpoint_truncated(tmp_path):
     raw = path.read_bytes()
     for cut in (4, 10, len(raw) // 2, len(raw) - 1):
         path.write_bytes(raw[:cut])
-        with pytest.raises(CheckpointTruncatedError):
+        with pytest.raises(CheckpointError,
+                           match="file too short|truncated header|data bytes, the header needs"):
             load_checkpoint(str(path))
 
 
@@ -363,16 +389,16 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, hyper, "h", str(path))
     path.write_bytes(path.read_bytes() + b"\0\0\0\0")
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointError, match="data bytes, the header needs"):
         load_checkpoint(str(path))
 
 
 def test_checkpoint_garbled_header(tmp_path):
     header = b"{not json"
     path = tmp_path / "model.ckpt"
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1)
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
                      + struct.pack("<I", len(header)) + header)
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointError, match="bad header"):
         load_checkpoint(str(path))
 
 
@@ -392,21 +418,12 @@ def _set(key, value):
     return lambda h: {**h, key: value}
 
 
-def _edit_manifest(edit):
-    def mutate(h):
-        edit(h["manifest"])
-        return h
-    return mutate
-
-
 BAD_HEADERS = {
     "list": lambda h: [1, 2],
     "string": lambda h: "header",
-    "no-manifest": _drop("manifest"),
     "no-hyperparams": _drop("hyperparams"),
     "no-vocab-hash": _drop("vocab_hash"),
     "int-vocab-hash": _set("vocab_hash", 7),
-    "manifest-object": _set("manifest", {"E": [24, 8]}),
     "hyperparams-list": _set("hyperparams", [8, 8]),
     "hyperparams-partial": _set("hyperparams", {"embed_dim": 8}),
     "float-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": 8.0}},
@@ -417,17 +434,13 @@ BAD_HEADERS = {
     "inf-lambda-cov": lambda h: {**h, "hyperparams": {**h["hyperparams"],
                                                       "lambda_cov": float("inf")}},
     "bool-lambda-cov": lambda h: {**h, "hyperparams": {**h["hyperparams"], "lambda_cov": True}},
-    "missing-tensor": _edit_manifest(lambda m: m.pop()),
-    "extra-tensor": _edit_manifest(lambda m: m.append(dict(m[-1], name="extra"))),
-    "reordered": _edit_manifest(lambda m: m.reverse()),
-    "renamed": _edit_manifest(lambda m: m[1].update(name="renamed")),
-    "wrong-shape": _edit_manifest(lambda m: m[1].update(shape=[1, 2])),
-    "string-shape": _edit_manifest(lambda m: m[1].update(shape="32x8")),
-    "float-shape": _edit_manifest(lambda m: m[1].update(shape=[32.0, 8])),
-    "negative-shape": _edit_manifest(lambda m: m[0].update(shape=[-24, 8])),
-    "overlapping-offset": _edit_manifest(lambda m: m[2].update(offset=0)),
-    "no-offset": _edit_manifest(lambda m: m[2].pop("offset")),
-    "null-entry": _edit_manifest(lambda m: m.__setitem__(3, None)),
+    "no-vocab-size": _drop("vocab_size"),
+    "bool-vocab-size": _set("vocab_size", True),
+    "float-vocab-size": _set("vocab_size", 24.0),
+    "string-vocab-size": _set("vocab_size", "24"),
+    "small-vocab-size": _set("vocab_size", 3),
+    "negative-vocab-size": _set("vocab_size", -24),
+    "other-vocab-size": _set("vocab_size", 25),  # disagrees with the body's length
 }
 
 
@@ -438,8 +451,29 @@ def test_checkpoint_header_schema(tmp_path, mutate):
     save_checkpoint(params, hyper, "h", str(path))
     load_checkpoint(str(path), "h")
     _rewrite_header(path, mutate)
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointError, match="bad header|data bytes, the header needs"):
         load_checkpoint(str(path), "h")
+
+
+@pytest.mark.parametrize("field", ["vocab_size", "embed_dim"])
+def test_checkpoint_with_a_forged_embedding_size_allocates_nothing(tmp_path, field):
+    # E then has 2**64 or more entries, a count that int64 arithmetic wraps to 0
+    hyper, params = random_params(5)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, hyper, "h", str(path))
+    if field == "vocab_size":
+        _rewrite_header(path, _set("vocab_size", 2 ** 61))
+    else:
+        _rewrite_header(path, lambda h: {**h, "hyperparams": {**h["hyperparams"],
+                                                              "embed_dim": 2 ** 61}})
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="data bytes, the header needs"):
+            load_checkpoint(str(path), "h")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_checkpoint_with_an_unread_hyperparam_loads(tmp_path):

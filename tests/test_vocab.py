@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import pytest
@@ -160,6 +161,16 @@ def test_vocab_file_bad_header(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("WRONG\n")
     with pytest.raises(VocabFormatError):
+        Vocabulary.load(path)
+
+
+@pytest.mark.parametrize("token", ["", "bar baz", "tab\there", " lead", "\u2028"],
+                         ids=["empty", "space", "tab", "leading-space", "line-separator"])
+def test_vocab_file_bad_token_line(tmp_path, token):
+    # no input token can ever match an empty or whitespace-holding entry
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"C2Q-VOCAB v1 count=3\nfoo\n{token}\nbar\n", encoding="utf-8")
+    with pytest.raises(VocabFormatError, match=re.escape(f"{path}:3: ")):
         Vocabulary.load(path)
 
 
