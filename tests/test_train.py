@@ -444,13 +444,31 @@ BAD_HEADERS = {
 }
 
 
-@pytest.mark.parametrize("mutate", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
-def test_checkpoint_header_schema(tmp_path, mutate):
+def _rewrite_body(path, mutate):
+    raw = path.read_bytes()
+    start = 12 + struct.unpack("<I", raw[8:12])[0]
+    path.write_bytes(raw[:start] + mutate(raw[start:]))
+
+
+# The header names no tensors: its sizes fix the body, so a body a whole
+# tensor short or long disagrees with the header that describes it.
+_LAST_TENSOR_BYTES = random_params(5)[1]["b_b"].data.nbytes
+BAD_BODIES = {
+    "missing-tensor": lambda body: body[:-_LAST_TENSOR_BYTES],
+    "extra-tensor": lambda body: body + bytes(_LAST_TENSOR_BYTES),
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_HEADERS, *BAD_BODIES])
+def test_checkpoint_header_schema(tmp_path, case):
     hyper, params = random_params(5)
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, hyper, "h", str(path))
     load_checkpoint(str(path), "h")
-    _rewrite_header(path, mutate)
+    if case in BAD_HEADERS:
+        _rewrite_header(path, BAD_HEADERS[case])
+    else:
+        _rewrite_body(path, BAD_BODIES[case])
     with pytest.raises(CheckpointError, match="bad header|data bytes, the header needs"):
         load_checkpoint(str(path), "h")
 
