@@ -102,14 +102,23 @@ def _read_config(path):
     return values
 
 
-def _apply_config(subparser, path):
-    """Config file values become the subcommand's defaults; flags win."""
+def _apply_config(subparser, argv):
+    """The values of the config file that the subcommand's arguments ``argv``
+    name, if any, become its defaults, and a flag that the file sets is no
+    longer required; flags on the command line win. ``--config`` is found
+    before ``argv`` is parsed, by a parser that knows the subcommand's option
+    strings, so an abbreviation resolves as in the real parse."""
+    finder = _Parser(add_help=False)
+    for option in subparser._option_string_actions:
+        finder.add_argument(option, nargs=None if option == "--config" else "?")
+    path = finder.parse_known_args(argv)[0].config
+    if not path:
+        return
     values = _read_config(path)
     known = {a.dest for a in subparser._actions}
     unknown = set(values) - known
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
-    defaults = {}
     for action in subparser._actions:
         if action.dest in values and action.dest != "config":
             conv = _boolean if action.nargs == 0 else action.type or str
@@ -117,10 +126,9 @@ def _apply_config(subparser, path):
                 value = conv(values[action.dest])
                 if action.choices is not None and value not in action.choices:
                     raise ValueError(f"invalid choice {value!r}")
-                defaults[action.dest] = value
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise DataError(f"config key {action.dest}: {exc}") from exc
-    subparser.set_defaults(**defaults)
+            action.default, action.required = value, False
 
 
 def _atomic_write_json(obj, path):
@@ -409,10 +417,9 @@ _COMMANDS = {
 def run(argv):
     parser, subparsers = build_parser()
     try:
+        if argv and argv[0] in subparsers:
+            _apply_config(subparsers[argv[0]], argv[1:])
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            _apply_config(subparsers[args.command], args.config)
-            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         _fail("usage", str(exc))

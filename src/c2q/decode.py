@@ -10,7 +10,7 @@ import numpy as np
 
 from .model import LOGPROB_FLOOR, MAX_DECODE_LEN, decode_step, encode
 from .numerics import Tensor
-from .vocab import END, START, UNK, UNK_TOKEN, decode_ids, encode_source
+from .vocab import END, START, UNK_TOKEN, decode_ids, encode_source
 
 
 @dataclass
@@ -37,12 +37,10 @@ def _model_stepper(code_tokens, params, vocab, hyper):
     live hypothesis as one row of a single ``decode_step``."""
     base_ids, ext_ids, ev = encode_source(code_tokens, vocab)
     enc = encode(base_ids, params, hyper)
-    vocab_size = len(vocab)
     cov0 = np.zeros(len(base_ids)) if hyper.coverage else None
 
     def stepper(prev_ext_ids, states, covs):
-        prev = np.array(prev_ext_ids)
-        prev[prev >= vocab_size] = UNK  # extended outputs are fed back as UNK
+        prev = ev.to_base(prev_ext_ids)
         # the parents' rows as fresh leaves, so no graph outlives a step
         state = tuple(Tensor(np.array(part)) for part in zip(*states))
         cov = Tensor(np.array(covs)) if hyper.coverage else None
@@ -117,7 +115,7 @@ def beam_search(code_tokens, params, vocab, hyper, k=10, max_len=None):
     pool = _beam(stepper, s0, cov0, k, max_len)
     results = []
     for hyp in pool:
-        tokens = decode_ids(hyp.token_ids, vocab, ev)
+        tokens = decode_ids(hyp.token_ids, ev)
         results.append(DecodedResult(tokens=tokens,
                                      score=hyp.logprob / max(1, len(hyp.token_ids)),
                                      logprob=hyp.logprob,

@@ -17,15 +17,13 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor
-from .vocab import END, START, UNK
+from .vocab import START, encode_source, encode_target
 
 LOGPROB_FLOOR = 1e-12
 
 # A Stack Overflow title has at most 150 characters. A larger decode length
 # from a checkpoint header would make generate and evaluate run unbounded.
 MAX_DECODE_LEN = 256
-
-ABLATION_FLAGS = frozenset({"attention", "copy", "coverage"})
 
 ABLATION_PRESETS = {
     "basic": frozenset(),
@@ -46,20 +44,17 @@ class Hyperparams:
 
     def __post_init__(self):
         self.ablation = frozenset(self.ablation)
-        unknown = self.ablation - ABLATION_FLAGS
-        if unknown:
-            raise ValueError(f"unknown ablation flags: {sorted(unknown)}")
-        if "copy" in self.ablation and "attention" not in self.ablation:
-            raise ValueError("copy requires attention")
-        if "coverage" in self.ablation and "attention" not in self.ablation:
-            raise ValueError("coverage requires attention")
+        if self.ablation not in ABLATION_PRESETS.values():
+            raise ValueError(f"ablation {set(self.ablation)} is the flag set of none of "
+                             f"the presets {sorted(ABLATION_PRESETS)}")
         lam = self.lambda_cov
         if (isinstance(lam, bool) or not isinstance(lam, (int, float))
                 or not math.isfinite(lam) or lam < 0):
             raise ValueError(f"lambda_cov must be a finite number >= 0, not {lam!r}")
         for dim in ("embed_dim", "hidden", "max_decode_len"):
-            if getattr(self, dim) < 1:
-                raise ValueError(f"{dim} must be >= 1")
+            value = getattr(self, dim)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{dim} must be an integer >= 1, not {value!r}")
         if self.max_decode_len > MAX_DECODE_LEN:
             raise ValueError(f"max_decode_len must be <= {MAX_DECODE_LEN}")
 
@@ -227,10 +222,9 @@ def decode_step(y_prev_id, state, enc, cov, ext_ids, ev, params, hyper, output=T
     """One decoder timestep of k rows: k base-vocab ids with (k, h) state
     rows and (k, M) coverage rows (None without coverage: only coverage
     models carry them), all stepped at once. A previous output from the
-    extended vocabulary must come in as UNK: the callers map it
-    (``sequence_loss`` and the decoder's stepper), and an id >= V raises
-    IndexError. One id with (h,) state and (M,) coverage is stepped as a
-    row of one, and the step comes back without the row axis. With
+    extended vocabulary must come in as UNK (``ExtendedVocab.to_base``); an
+    id >= V raises IndexError. One id with (h,) state and (M,) coverage is
+    stepped as a row of one, and the step comes back without the row axis. With
     ``output=False`` the step leaves out the output distribution (``p_cg``
     and ``p_star`` are None): ``sequence_loss`` projects all of a title's
     steps at once instead."""
@@ -286,10 +280,6 @@ def _output_dist(h, ctx, x, a, ext_ids, ext_size, params, hyper):
     return p_cg, nm.output_dist(rows, params["W_v"], params["b_v"], ext_size, p_cg, a, ext_ids)
 
 
-def _to_base(idx, vocab_size):
-    return idx if idx < vocab_size else UNK
-
-
 def sequence_loss(example, params, hyper, enc=None):
     """Teacher-forced loss for one encoded pair.
 
@@ -304,8 +294,7 @@ def sequence_loss(example, params, hyper, enc=None):
     target = example.target_ids
     if not target:
         raise ValueError("sequence_loss: empty target")
-    vocab_size = params["E"].data.shape[0]
-    ext_size = vocab_size + len(example.ev.oov_tokens)
+    ext_size = len(example.ev)
     for idx in target:
         if not 0 <= idx < ext_size:
             raise IndexError(f"target id {idx} outside extended range [0, {ext_size})")
@@ -314,7 +303,7 @@ def sequence_loss(example, params, hyper, enc=None):
         enc = encode(example.base_ids, params, hyper)
     state = tuple(nm.index(s, None) for s in enc.s0)
     cov = Tensor(np.zeros((1, len(example.base_ids)))) if hyper.coverage else None
-    feed = [START] + [_to_base(y, vocab_size) for y in target[:-1]]
+    feed = [START] + example.ev.to_base(target[:-1])
 
     hs, ctxs, attns, covs = [], [], [], []
     for y_prev in feed:
@@ -334,17 +323,16 @@ def sequence_loss(example, params, hyper, enc=None):
                              nm.index(params["E"], feed) if hyper.copy else None, attn,
                              example.ext_ids, ext_size, params, hyper)
     logp = nm.log(nm.index(p_star, (np.arange(t_len), target)), LOGPROB_FLOOR)
-    loss = nm.scale(nm.sum_all(logp), -1.0 / t_len)
+    loss = nm.sum_all(logp, -1.0 / t_len)
     if penalize:
-        penalty = nm.sum_all(nm.minimum(attn, nm.concat(covs)))
-        loss = nm.add_n([loss, nm.scale(penalty, hyper.lambda_cov / t_len)])
+        penalty = nm.sum_all(nm.minimum(attn, nm.concat(covs)), hyper.lambda_cov / t_len)
+        loss = nm.add_n([loss, penalty])
     return loss, logp.data.tolist()
 
 
 def encode_example(pair, vocab):
     """EncodedExample from a QCPair."""
-    from .vocab import encode_source, encode_target
     base_ids, ext_ids, ev = encode_source(pair.code_tokens, vocab)
-    target_ids = encode_target(pair.title_tokens, vocab, ev)
+    target_ids = encode_target(pair.title_tokens, ev)
     return EncodedExample(id=pair.id, base_ids=base_ids, ext_ids=ext_ids,
                           ev=ev, target_ids=target_ids)

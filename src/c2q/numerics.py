@@ -185,13 +185,6 @@ def zero_grads(tensors):
 # elementwise / structural ops
 
 
-def scale(a, s):
-    """Multiply by a python float constant (no grad for s)."""
-    a = _wrap(a)
-    s = float(s)
-    return Tensor(a.data * s, (a,), lambda g: (g * s,))
-
-
 def add_n(tensors):
     """Sum a list of tensors; later ones may broadcast into the first."""
     ts = [_wrap(t) for t in tensors]
@@ -315,9 +308,10 @@ def minimum(a, b):
     return Tensor(np.minimum(a.data, b.data), (a, b), bw)
 
 
-def sum_all(a):
-    a = _wrap(a)
-    return Tensor(a.data.sum(), (a,), lambda g: (np.full_like(a.data, float(g)),))
+def sum_all(a, scale=1.0):
+    """The sum of every entry times the constant ``scale`` (no grad for it)."""
+    a, s = _wrap(a), float(scale)
+    return Tensor(a.data.sum() * s, (a,), lambda g: (np.full_like(a.data, float(g * s)),))
 
 
 def _softmax(x):

@@ -123,7 +123,7 @@ def _sgd_step(batch, params, hyper, config):
     holds a gradient on return. A non-finite loss or gradient norm raises
     TrainingDivergedError before any parameter changes."""
     nm.zero_grads(params.values())
-    batch_loss = nm.scale(nm.add_n(_losses(batch, params, hyper)), 1.0 / len(batch))
+    batch_loss = nm.sum_all(nm.add_n(_losses(batch, params, hyper)), 1.0 / len(batch))
     value = float(batch_loss.data)
     if not np.isfinite(value):
         raise TrainingDivergedError([ex.id for ex in batch])
@@ -260,9 +260,6 @@ def _check_header(header, path):
         hyper = Hyperparams(**{f.name: obj[f.name] for f in fields(Hyperparams)})
     except (KeyError, TypeError, ValueError) as exc:
         raise bad(f"hyperparams: {exc!r}") from exc
-    if not all(type(getattr(hyper, key)) is int
-               for key in ("embed_dim", "hidden", "max_decode_len")):
-        raise bad("hyperparams: dimensions must be integers")
     vocab_size, vocab_hash = header.get("vocab_size"), header.get("vocab_hash")
     if type(vocab_size) is not int or vocab_size < len(SPECIALS):
         raise bad(f"vocab_size must be an integer >= {len(SPECIALS)}")

@@ -38,8 +38,6 @@ class Vocabulary:
         if tuple(self.id_to_token[:4]) != SPECIALS:
             raise ValueError("vocabulary must start with the four special tokens")
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("duplicate token in vocabulary")
 
     def __len__(self):
         return len(self.id_to_token)
@@ -78,27 +76,66 @@ class Vocabulary:
             raise VocabFormatError(f"bad vocab header count: {header!r}") from exc
         if len(tokens) != count:
             raise VocabFormatError(f"vocab file lists {len(tokens)} tokens, header says {count}")
+        seen = set(SPECIALS)
         for lineno, token in enumerate(tokens, 2):
             if token.split() != [token]:  # as the pair readers require
                 raise VocabFormatError(f"{path}:{lineno}: token {token!r} is empty or holds "
                                        "whitespace")
+            if token in seen:
+                raise VocabFormatError(f"{path}:{lineno}: token {token!r} repeats a special "
+                                       "marker or an earlier line")
+            seen.add(token)
         return cls(list(SPECIALS) + tokens)
 
 
 @dataclass
 class ExtendedVocab:
+    """One snippet's extended vocabulary, the only code that knows the copy
+    mechanism's two id rules. (1) A base token keeps its id, and each of the
+    snippet's out-of-vocabulary (OOV) tokens takes ``len(base)`` plus its rank
+    of first occurrence. (2) The model is fed an extended id as UNK
+    (``to_base``; ``add_source`` gives a snippet's base ids in its one pass)."""
     base: Vocabulary
-    oov_tokens: list
+    oov_tokens: list = field(default_factory=list)  # in order of first occurrence
+    oov_ids: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        tokens, self.oov_tokens, self.oov_ids = self.oov_tokens, [], {}
+        if tokens:  # encode_source builds an empty one and adds its snippet
+            self.add_source(tokens)
 
     def __len__(self):
         return len(self.base) + len(self.oov_tokens)
 
-    def ext_id(self, token):
-        """Extended id of a source OOV token, or None."""
-        try:
-            return len(self.base) + self.oov_tokens.index(token)
-        except ValueError:
-            return None
+    def add_source(self, tokens):
+        """(base ids, extended ids) of the snippet's own tokens; an OOV token
+        met for the first time joins ``oov_tokens``."""
+        known, oov_ids, oov_tokens = self.base.token_to_id, self.oov_ids, self.oov_tokens
+        start = len(self.base)
+        base_ids, ext_ids = [], []
+        for tok in tokens:  # no Python call per token: every snippet runs this
+            idx = known.get(tok)
+            if idx is None:
+                idx = oov_ids.get(tok)
+                if idx is None:
+                    idx = oov_ids[tok] = start + len(oov_tokens)
+                    oov_tokens.append(tok)
+                base_ids.append(UNK)
+            else:
+                base_ids.append(idx)
+            ext_ids.append(idx)
+        return base_ids, ext_ids
+
+    def ids(self, tokens):
+        """Extended ids of other tokens, such as a title's: a token neither
+        in the base nor among the snippet's OOV tokens is UNK."""
+        known, oov_ids = self.base.token_to_id, self.oov_ids
+        return [known[t] if t in known else oov_ids.get(t, UNK) for t in tokens]
+
+    def to_base(self, ids):
+        """The base ids the decoder is fed for extended ids ``ids``."""
+        size = len(self.base)
+        return [idx if idx < size else UNK for idx in ids]
 
 
 def build_vocab(token_streams, min_freq=1, max_size=None):
@@ -125,49 +162,25 @@ def encode_source(code_tokens, vocab):
     """(base_ids, extended_ids, ExtendedVocab) for one source snippet."""
     if not code_tokens:
         raise ValueError("encode_source: empty token sequence")
-    base_ids, ext_ids, oov = [], [], []
-    for tok in code_tokens:
-        idx = vocab.token_to_id.get(tok)
-        if idx is None:
-            base_ids.append(UNK)
-            if tok not in oov:
-                oov.append(tok)
-            ext_ids.append(len(vocab) + oov.index(tok))
-        else:
-            base_ids.append(idx)
-            ext_ids.append(idx)
-    return base_ids, ext_ids, ExtendedVocab(vocab, oov)
+    ev = ExtendedVocab(vocab)
+    base_ids, ext_ids = ev.add_source(code_tokens)
+    return base_ids, ext_ids, ev
 
 
-def encode_target(title_tokens, vocab, ev):
+def encode_target(title_tokens, ev):
     """Extended-id sequence for the title, END appended."""
-    ids = []
-    for tok in title_tokens:
-        idx = vocab.token_to_id.get(tok)
-        if idx is not None:
-            ids.append(idx)
-            continue
-        ext = ev.ext_id(tok)
-        ids.append(UNK if ext is None else ext)
-    ids.append(END)
-    return ids
+    return ev.ids(title_tokens) + [END]
 
 
-def decode_ids(ids, vocab, ev=None):
-    """Tokens for a sequence of extended ids; stops before END, UNK renders
-    as the literal "<unk>" string."""
-    n_oov = len(ev.oov_tokens) if ev is not None else 0
-    limit = len(vocab) + n_oov
+def decode_ids(ids, ev):
+    """Tokens for a sequence of extended ids; stops before END. UNK renders
+    as the literal "<unk>" string, its token in every vocabulary."""
+    tokens, size, limit = ev.base.id_to_token, len(ev.base), len(ev)
     out = []
     for idx in ids:
         if not 0 <= idx < limit:
             raise IndexError(f"id {idx} out of range [0, {limit})")
         if idx == END:
             break
-        if idx == UNK:
-            out.append(UNK_TOKEN)
-        elif idx < len(vocab):
-            out.append(vocab.id_to_token[idx])
-        else:
-            out.append(ev.oov_tokens[idx - len(vocab)])
+        out.append(tokens[idx] if idx < size else ev.oov_tokens[idx - size])
     return out

@@ -2,9 +2,9 @@
 ``numerics.output_dist``, ``numerics.linear`` with a bias and
 ``numerics.log`` with a floor replace, as the model built them before those
 ops existed: the remaining elementwise ops plus the reference ops that the
-model no longer needs (a two-operand add, an elementwise product, a
-scatter-add, a zero pad, the product of a stack of matrices with a vector,
-a softmax, a floor and a log without one). Tests compare each fused op
+model no longer needs (a two-operand add, a product with a constant, an
+elementwise product, a scatter-add, a zero pad, the product of a stack of
+matrices with a vector, a softmax, a floor and a log without one). Tests compare each fused op
 with its chain, value for value and gradient for gradient. Beside them
 sit the earlier forms of two kernels that ``numerics`` computes another
 way, the two-branch ``np.where`` sigmoid and the ``np.multiply.outer``
@@ -24,6 +24,13 @@ def add(a, b):
     ash, bsh = a.data.shape, b.data.shape
     return Tensor(a.data + b.data, (a, b),
                   lambda g: (nm._unbroadcast(g, ash), nm._unbroadcast(g, bsh)))
+
+
+def scale(a, s):
+    """``a`` times the constant ``s`` (no grad for it), the op that
+    ``numerics.sum_all`` took in as its ``scale``."""
+    a, s = nm._wrap(a), float(s)
+    return Tensor(a.data * s, (a,), lambda g: (g * s,))
 
 
 def mul(a, b):
@@ -117,7 +124,7 @@ def output_dist(x, w, b, size, gate=None, attn=None, ext_ids=None):
     gate = nm.index(gate, (slice(None), None))
     copy_dist = scatter_add(attn, ext_ids, size)
     gen_dist = pad_zeros(vocab_dist, size)
-    keep = add(1.0, nm.scale(gate, -1.0))  # 1 - p_cg
+    keep = add(1.0, scale(gate, -1.0))  # 1 - p_cg
     return add(mul(gate, copy_dist), mul(keep, gen_dist))
 
 

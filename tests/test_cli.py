@@ -254,6 +254,41 @@ def test_config_flag_wins_over_file(workdir, capsys, tmp_path):
     assert size_flag > size_cfg
 
 
+def test_config_sets_required_flags(workdir, capsys, tmp_path):
+    snippets = tmp_path / "s.jsonl"
+    snippets.write_text('{"code": "x = foo(1)"}\n')
+    argv = ["generate", "--input", str(snippets), "--greedy"]
+    assert run(argv + ["--checkpoint", workdir["ckpt"], "--vocab", workdir["vocab"]]) == 0
+    titles = capsys.readouterr().out
+    cfg = tmp_path / "c2q.cfg"
+    cfg.write_text(f"checkpoint = {workdir['ckpt']}\nvocab = {workdir['vocab']}\n")
+    assert run(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == titles
+    # a flag on the command line wins over the same key in the file
+    cfg.write_text(f"checkpoint = {tmp_path / 'missing.ckpt'}\nvocab = {workdir['vocab']}\n")
+    assert run(argv + ["--config", str(cfg), "--checkpoint", workdir["ckpt"]]) == 0
+    assert capsys.readouterr().out == titles
+    assert run(argv + ["--config", str(cfg)]) == 2
+    assert "missing.ckpt" in capsys.readouterr().err
+    # a required flag that neither gives is still a usage error
+    cfg.write_text(f"vocab = {workdir['vocab']}\n")
+    assert run(argv + ["--config", str(cfg)]) == 1
+    assert "--checkpoint" in capsys.readouterr().err
+
+
+def test_config_flag_abbreviation_resolves_as_in_the_real_parse(workdir, capsys, tmp_path):
+    snippets = tmp_path / "s.jsonl"
+    snippets.write_text('{"code": "x = foo(1)"}\n')
+    cfg = tmp_path / "c2q.cfg"
+    cfg.write_text(f"checkpoint = {workdir['ckpt']}\nvocab = {workdir['vocab']}\n")
+    argv = ["generate", "--input", str(snippets), "--greedy"]
+    assert run(argv + ["--conf", str(cfg)]) == 0
+    assert capsys.readouterr().out
+    # --c could be --checkpoint or --config: a usage error, the file unread
+    assert run(argv + ["--c", str(tmp_path / "missing.cfg")]) == 1
+    assert "ambiguous option" in capsys.readouterr().err
+
+
 def test_config_unknown_key_rejected(workdir, capsys, tmp_path):
     cfg = tmp_path / "c2q.cfg"
     cfg.write_text("bogus_key=1\n")

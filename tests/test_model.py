@@ -53,6 +53,21 @@ def test_hyper_invariants():
         Hyperparams(lambda_cov=-1.0)
 
 
+@pytest.mark.parametrize("dim", ["embed_dim", "hidden", "max_decode_len"])
+@pytest.mark.parametrize("bad", [8.0, True, "8"])
+def test_hyperparams_reject_dimensions_that_are_not_integers(dim, bad):
+    with pytest.raises(ValueError, match=dim):
+        Hyperparams(**{dim: bad})
+
+
+@pytest.mark.parametrize("flags", [{"copy", "coverage"}, {"attention", "bogus"}, "full"])
+def test_hyperparams_accept_only_the_preset_ablations(flags):
+    for preset in ABLATION_PRESETS.values():
+        assert Hyperparams(ablation=set(preset)).ablation == preset
+    with pytest.raises(ValueError, match="ablation"):
+        Hyperparams(ablation=flags)
+
+
 @pytest.mark.parametrize("field,bad", [
     ("lambda_cov", math.nan), ("lambda_cov", math.inf), ("lambda_cov", True),
     ("lambda_cov", "1"),
@@ -399,7 +414,7 @@ def test_sequence_loss_gradients_all_variants(ablation):
 
         def f():
             losses = [sequence_loss(ex, params, hyper)[0] for ex in examples]
-            return nm.scale(nm.add_n(losses), 0.5)
+            return composed.scale(nm.add_n(losses), 0.5)
 
         err = nm.finite_diff_check(f, list(params.values()), epsilon=1e-5)
     assert err < 1e-3, f"{ablation}: max relative gradient error {err}"
@@ -515,8 +530,8 @@ def test_fused_attention_and_output_match_composed_ops_bitwise(ablation, dtype, 
                 target[0] = ext[0]
                 examples.append(make_example(base, ext, oov, target, 7, params))
             encs = md.encode_batch([ex.base_ids for ex in examples], params, hyper)
-            loss = nm.scale(nm.add_n([sequence_loss(ex, params, hyper, enc=enc)[0]
-                                      for ex, enc in zip(examples, encs)]), 0.25)
+            loss = composed.scale(nm.add_n([sequence_loss(ex, params, hyper, enc=enc)[0]
+                                            for ex, enc in zip(examples, encs)]), 0.25)
             loss.backward()
             ex, enc = examples[-1], encs[-1]
             rows = [Tensor(rng.uniform(-1, 1, (3, hyper.hidden))) for _ in "hc"]
@@ -680,14 +695,15 @@ def _stepwise_loss(example, params, hyper):
     for y_prev, y in zip(feed, target):
         step = decode_step(y_prev, state, enc, cov, example.ext_ids, example.ev, params, hyper)
         logp = nm.log(nm.index(step.p_star, y), md.LOGPROB_FLOOR)
-        nll_terms.append(nm.scale(logp, -1.0))
+        nll_terms.append(composed.scale(logp, -1.0))
         logps.append(float(logp.data))
         if hyper.coverage:
             cov_terms.append(nm.sum_all(nm.minimum(step.a, step.cov)))
         state, cov = step.state, step.cov_next
-    loss = nm.scale(nm.add_n(nll_terms), 1.0 / len(target))
+    loss = composed.scale(nm.add_n(nll_terms), 1.0 / len(target))
     if cov_terms and hyper.lambda_cov > 0:
-        loss = composed.add(loss, nm.scale(nm.add_n(cov_terms), hyper.lambda_cov / len(target)))
+        loss = composed.add(loss, composed.scale(nm.add_n(cov_terms),
+                                                 hyper.lambda_cov / len(target)))
     return loss, logps
 
 

@@ -14,6 +14,19 @@ def test_linear_identity():
     assert np.allclose(y.data, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("scale", [1.0, -1.0 / 7, 0.3])
+def test_sum_all_with_a_scale_is_the_scaled_sum_bitwise(scale):
+    # the fused form keeps every bit of the scale op it replaced
+    x = Tensor(Rng(3).uniform(-1, 1, (4, 5)))
+    fused = nm.sum_all(x, scale)
+    fused.backward()
+    grad, x.grad = x.grad, None
+    ref = composed.scale(nm.sum_all(x), scale)
+    ref.backward()
+    assert fused.data.tobytes() == ref.data.tobytes()
+    assert grad.tobytes() == x.grad.tobytes()
+
+
 def test_linear_hand_example():
     x = Tensor([[1.0, 2.0]])
     w = Tensor([[1.0, 1.0], [0.0, 1.0]])
@@ -91,7 +104,7 @@ def test_backward_accumulates_instead_of_overwriting():
 
 def test_repeated_backward_on_one_graph_adds_one_gradient_per_pass():
     x = Tensor([0.3, -0.7])
-    s = nm.sum_all(nm.tanh(nm.scale(x, 2.0)))
+    s = nm.sum_all(nm.tanh(composed.scale(x, 2.0)))
     s.backward()
     first = x.grad.copy()
     s.backward()

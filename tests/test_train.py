@@ -429,6 +429,10 @@ BAD_HEADERS = {
     "float-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": 8.0}},
     "other-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": 9}},
     "zero-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": 0}},
+    "bool-hidden": lambda h: {**h, "hyperparams": {**h["hyperparams"], "hidden": True}},
+    "copy-only-ablation": lambda h: {**h, "hyperparams": {**h["hyperparams"],
+                                                          "ablation": ["copy"]}},
+    "string-ablation": lambda h: {**h, "hyperparams": {**h["hyperparams"], "ablation": "full"}},
     "nan-lambda-cov": lambda h: {**h, "hyperparams": {**h["hyperparams"],
                                                       "lambda_cov": float("nan")}},
     "inf-lambda-cov": lambda h: {**h, "hyperparams": {**h["hyperparams"],

@@ -89,46 +89,67 @@ def test_extended_ids_never_collide_with_base():
     _, ext, ev = encode_source(["a", "q", "b", "r"], vocab)
     base_range = set(range(len(vocab)))
     for tok in ev.oov_tokens:
-        assert ev.ext_id(tok) not in base_range
+        assert ev.ids([tok]) == [ev.oov_ids[tok]]
+        assert ev.oov_ids[tok] not in base_range
+
+
+def test_encode_source_over_many_distinct_oov_tokens():
+    # each OOV token's id is V plus its rank of first occurrence
+    vocab = build_vocab([["a", "a"]], min_freq=0)
+    a = vocab.token_to_id["a"]
+    source = [f"x{i}" for i in range(2000)] + ["a"] + [f"x{i}" for i in range(0, 2000, 7)]
+    base, ext, ev = encode_source(source, vocab)
+    assert ev.oov_tokens == [f"x{i}" for i in range(2000)]
+    assert ext == [a if t == "a" else len(vocab) + int(t[1:]) for t in source]
+    assert base == ev.to_base(ext) == [a if t == "a" else UNK for t in source]
+    assert ExtendedVocab(vocab, ev.oov_tokens) == ev
+    assert len(ev) == len(vocab) + 2000
+
+
+def test_to_base_feeds_extended_ids_as_unk():
+    vocab = build_vocab([["a", "a"]], min_freq=0)
+    ev = ExtendedVocab(vocab, ["z"])
+    a = vocab.token_to_id["a"]
+    assert ev.to_base([START, a, len(vocab), UNK, END]) == [START, a, UNK, UNK, END]
 
 
 def test_encode_target_in_vocab():
     vocab = build_vocab([["a", "a"]], min_freq=0)
     ev = ExtendedVocab(vocab, [])
-    assert encode_target(["a"], vocab, ev) == [vocab.token_to_id["a"], END]
+    assert encode_target(["a"], ev) == [vocab.token_to_id["a"], END]
 
 
 def test_encode_target_copyable_rare_token():
     vocab = build_vocab([["a", "a"]], min_freq=0)
     _, _, ev = encode_source(["a", "setUpClass"], vocab)
-    ids = encode_target(["setUpClass"], vocab, ev)
+    ids = encode_target(["setUpClass"], ev)
     assert ids == [len(vocab), END]
 
 
 def test_encode_target_true_oov_is_unk():
     vocab = build_vocab([["a", "a"]], min_freq=0)
     _, _, ev = encode_source(["a"], vocab)
-    assert encode_target(["qqq"], vocab, ev) == [UNK, END]
+    assert encode_target(["qqq"], ev) == [UNK, END]
 
 
 def test_decode_ids_roundtrip_identity():
     vocab = build_vocab([["a", "a", "b", "b"]], min_freq=0)
     ev = ExtendedVocab(vocab, [])
     tokens = ["a", "b", "a"]
-    assert decode_ids(encode_target(tokens, vocab, ev), vocab, ev) == tokens
+    assert decode_ids(encode_target(tokens, ev), ev) == tokens
 
 
 def test_decode_ids_extended_lookup():
     vocab = build_vocab([["a", "a"]], min_freq=0)
     ev = ExtendedVocab(vocab, ["z"])
-    assert decode_ids([len(vocab), END], vocab, ev) == ["z"]
+    assert decode_ids([len(vocab), END], ev) == ["z"]
 
 
 def test_decode_ids_out_of_range():
     vocab = build_vocab([["a", "a"]], min_freq=0)
     ev = ExtendedVocab(vocab, ["z"])
     with pytest.raises(IndexError, match=str(len(vocab) + 1)):
-        decode_ids([len(vocab) + 1], vocab, ev)
+        decode_ids([len(vocab) + 1], ev)
 
 
 def test_roundtrip_randomized():
@@ -143,7 +164,7 @@ def test_roundtrip_randomized():
         tgt_len = rng.integers(1, 8)
         pool = alphabet + ev.oov_tokens
         title = [pool[rng.integers(0, len(pool))] for _ in range(tgt_len)]
-        assert decode_ids(encode_target(title, vocab, ev), vocab, ev) == title
+        assert decode_ids(encode_target(title, ev), ev) == title
 
 
 def test_vocab_file_roundtrip(tmp_path):
@@ -174,6 +195,16 @@ def test_vocab_file_bad_token_line(tmp_path, token):
         Vocabulary.load(path)
 
 
+@pytest.mark.parametrize("body,line", [(["foo", "bar", "foo"], 4), (["foo", "<unk>"], 3)],
+                         ids=["repeated-token", "special-marker"])
+def test_vocab_file_repeated_token_names_its_line(tmp_path, body, line):
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"C2Q-VOCAB v1 count={len(body)}\n" + "".join(t + "\n" for t in body),
+                    encoding="utf-8")
+    with pytest.raises(VocabFormatError, match=re.escape(f"{path}:{line}: ")):
+        Vocabulary.load(path)
+
+
 # Arbitrary unicode tokens; titles also draw the special markers. The
 # property covers exactly the token lists that the pair and snippet readers
 # accept, and holds trivially for the ones they reject.
@@ -198,9 +229,9 @@ def test_vocab_roundtrip_over_accepted_tokens(code, title, min_freq):
     assert loaded.id_to_token == vocab.id_to_token
     assert loaded.content_hash() == vocab.content_hash()
     _, ext_ids, ev = encode_source(code, loaded)
-    assert decode_ids(ext_ids, loaded, ev) == code
+    assert decode_ids(ext_ids, ev) == code
     copyable = set(loaded.id_to_token) | set(ev.oov_tokens)
-    assert decode_ids(encode_target(title, loaded, ev), loaded, ev) == \
+    assert decode_ids(encode_target(title, ev), ev) == \
         [t if t in copyable else "<unk>" for t in title]
 
 
